@@ -5,7 +5,8 @@ subgroup (and whose adjusted representative is not itself a member), all
 five formulas must give the same integer on every character of the coset
 stabilizer: the defining subgroup sum, the stabilizer-only sum, the square
 count over the extended stabilizer, the induced-character route and the
-extension-character route.
+extension-character route.  A subgroup spec of smaller degree is padded
+with fixed points, as `fscat indicators` does.
 """
 import argparse
 import sys
@@ -23,6 +24,7 @@ from fscat import (
     stabilizer,
     two_power_rep,
 )
+from fscat.perm import embedded
 
 
 def main(argv=None) -> int:
@@ -32,7 +34,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     group = parse_group_spec(args.G).build()
-    sub = parse_group_spec(args.H).build()
+    sub = embedded(parse_group_spec(args.H).build(), group.degree)
     members = sub.element_set()
     checked = disagreements = 0
     for dc in double_cosets(group, sub).cosets:

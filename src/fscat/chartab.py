@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .config import DEFAULT_SEED
-from .cyclo import ZERO, Cyclotomic
+from .cyclo import ZERO, Cyclotomic, _prime_factors
 from .perm import Permutation, PermGroup, _conj, _inv, _mul
 
 
@@ -226,17 +226,7 @@ def _choose_prime(e: int, lower: int, group_order: int) -> int:
 def _primitive_root(p: int) -> int:
     if p == 2:
         return 1
-    fac = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            fac.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        fac.append(m)
+    fac = _prime_factors(p - 1)
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in fac):
         g += 1

@@ -6,7 +6,8 @@ gens:(1,2)(3,4);(1,3)@4.  When the subgroup spec has smaller degree than the
 group it is padded with fixed points.  Output goes to standard output or to
 the --out path; --json and --csv select the machine formats.  Exit status is
 0 for success or a passing check, 1 for a failing check, 2 for usage errors
-and violated bounds.
+and violated bounds; verify and verify-all report a violated bound as a
+skipped check instead.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .perm import (
     alt_embed,
     conjugate,
     cyclic,
+    embedded,
     sym,
     sym_embed,
     sym_prime,
@@ -116,25 +118,11 @@ def parse_group_spec(text: str) -> GroupSpec:
     return GroupSpec(head, params=params)
 
 
-def _pad_to(group: PermGroup, degree: int) -> PermGroup:
-    """Re-embed a group of smaller degree by appending fixed points."""
-    if group.degree == degree:
-        return group
-    if group.degree > degree:
-        raise ValueError(f"subgroup degree {group.degree} exceeds the group "
-                         f"degree {degree}")
-    tail = tuple(range(group.degree, degree))
-    gens = [Permutation._from_raw(g._img + tail) for g in group.generators]
-    if not gens:
-        return trivial(degree)
-    return PermGroup(degree, gens)
-
-
 def _groups(args) -> tuple[GroupSpec, GroupSpec, PermGroup, PermGroup]:
     gspec = parse_group_spec(args.G)
     hspec = parse_group_spec(args.H)
     group = gspec.build()
-    sub = _pad_to(hspec.build(), group.degree)
+    sub = embedded(hspec.build(), group.degree)
     return gspec, hspec, group, sub
 
 
@@ -345,12 +333,17 @@ def _apply_config(args) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The bounds hold for this call only; the caller's values come back on
+    # every exit path.
+    saved = config.ENUMERATION_BOUND, config.INDEX_BOUND
     try:
         cfg = _apply_config(args)
         code, text = args.func(args, cfg)
     except (BoundExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        config.ENUMERATION_BOUND, config.INDEX_BOUND = saved
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

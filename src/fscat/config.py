@@ -17,9 +17,6 @@ class RunConfig:
     enumeration_bound: int = ENUMERATION_BOUND
     index_bound: int = INDEX_BOUND
     seed: int = DEFAULT_SEED
-    # Reserved: scans are partitionable by double coset, but the current
-    # implementation runs single-process.
-    threads: int = os.cpu_count() or 1
 
     def validate(self) -> "RunConfig":
         for f in fields(self):

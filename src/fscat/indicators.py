@@ -18,9 +18,10 @@ implemented here and cross-checked in the test suite:
   * nu2_extension  uses an extension of chi to that overgroup,
   * nu_twisted     the twisted indicator sum chi(x * u x u^-1) over S.
 
-category_scan walks every double coset, picks per coset the cheapest valid
-route (vanishing test, then the stabilizer sum, with the defining sum kept as
-a fallback for m != 2) and reports one row per simple object.
+category_scan walks every double coset and reports one row per simple
+object.  For m = 2 it uses the stabilizer sum at an adjusted representative
+(or zero, or the classical indicator, when the coset has no element squaring
+into H, or such an element inside H); for m != 2 it uses the defining sum.
 """
 from __future__ import annotations
 
@@ -65,12 +66,23 @@ def _as_int(value: Cyclotomic, what: str) -> int:
     return out
 
 
-def _pair_counts(counts, values) -> Cyclotomic:
-    total = ZERO
-    for c, v in zip(counts, values):
-        if c:
-            total = total + v.scaled(c)
-    return total
+def _census_indicators(counts: list[int], characters, order: int, what: str,
+                       conj: bool = False) -> list[int]:
+    """(1/order) * sum_j counts_j * chi(C_j) for each character chi, with chi
+    conjugated when conj is set (the defining sum).
+
+    counts is a class census of the group behind the characters; order is the
+    order of that group.
+    """
+    unit = Fraction(1, order)
+    out = []
+    for chi in characters:
+        total = ZERO
+        for c, v in zip(counts, chi.values):
+            if c:
+                total = total + (v.conj() if conj else v).scaled(c)
+        out.append(_as_int(total.scaled(unit), what))
+    return out
 
 
 def _coset_power_counts(g: Permutation, sub: PermGroup, cd: ClassData,
@@ -91,8 +103,8 @@ def _square_counts(g: Permutation, cd: ClassData) -> list[int]:
     g_raw = g._img
     counts = [0] * len(cd)
     for x in cd.group.element_tuples():
-        y = _mul(_mul(g_raw, x), _mul(g_raw, x))
-        counts[cd._index[y]] += 1
+        gx = _mul(g_raw, x)
+        counts[cd._index[_mul(gx, gx)]] += 1
     return counts
 
 
@@ -104,9 +116,8 @@ def nu_m(g: Permutation, chi: Character, sub: PermGroup, m: int = 2) -> int:
     """
     cd = chi.classes
     counts = _coset_power_counts(g, sub, cd, m)
-    total = _pair_counts(counts, [v.conj() for v in chi.values])
-    return _as_int(total.scaled(Fraction(1, cd.group.order())),
-                   f"nu_{m} of {g.to_text()}")
+    return _census_indicators(counts, [chi], cd.group.order(),
+                              f"nu_{m} of {g.to_text()}", conj=True)[0]
 
 
 def vanishing_witness(g: Permutation, sub: PermGroup, m: int) -> bool:
@@ -154,9 +165,8 @@ def nu2_stab(g: Permutation, chi: Character, sub: PermGroup) -> int:
         raise ValueError("square of the representative must lie in the subgroup")
     cd = chi.classes
     counts = _square_counts(g, cd)
-    total = _pair_counts(counts, chi.values)
-    return _as_int(total.scaled(Fraction(1, cd.group.order())),
-                   f"nu_2 of {g.to_text()}")
+    return _census_indicators(counts, [chi], cd.group.order(),
+                              f"nu_2 of {g.to_text()}")[0]
 
 
 @dataclass(frozen=True)
@@ -251,9 +261,8 @@ def nu_twisted(chi: Character, u: Permutation) -> int:
     counts = [0] * len(cd)
     for x in cd.group.element_tuples():
         counts[cd._index[_mul(x, _conj(u_raw, x))]] += 1
-    total = _pair_counts(counts, chi.values)
-    return _as_int(total.scaled(Fraction(1, cd.group.order())),
-                   f"twisted indicator by {u.to_text()}")
+    return _census_indicators(counts, [chi], cd.group.order(),
+                              f"twisted indicator by {u.to_text()}")[0]
 
 
 @dataclass(frozen=True)
@@ -400,17 +409,19 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     """Indicators of every simple object of the pair category of (G, H).
 
     One stabilizer and one character table are computed per double coset; the
-    left cosets inside share them by conjugation.  Per coset the vanishing
-    test runs first, then for m = 2 the stabilizer-only sum at an adjusted
-    representative, with the defining H-sum covering every other case.  The
-    seed feeds the table computation only; results do not depend on it.
+    left cosets inside share them by conjugation.  Per coset, m = 2 takes the
+    stabilizer-only sum at an adjusted representative and every other m the
+    defining H-sum.  The seed feeds the table computation only; results do
+    not depend on it.
     """
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
     if seed is None:
         seed = DEFAULT_SEED
-    decomposition = double_cosets(group, sub)
+    # Enumerate H before the coset walk, so an oversized H trips the
+    # enumeration bound at once.
     members = sub.element_set()
+    decomposition = double_cosets(group, sub)
     entries: list[IndicatorEntry] = []
     for dc in decomposition.cosets:
         g = dc.rep
@@ -424,27 +435,17 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                 nus = [_as_int(nu_classical(chi), "classical nu_2")
                        for chi in table.characters]
             else:
-                cd = conjugacy_classes(stab)
-                counts = _square_counts(w, cd)
-                unit = Fraction(1, stab.order())
-                nus = [_as_int(_pair_counts(counts, chi.values).scaled(unit),
-                               f"nu_2 at {w.to_text()}")
-                       for chi in table.characters]
+                counts = _square_counts(w, conjugacy_classes(stab))
+                nus = _census_indicators(counts, table.characters,
+                                         stab.order(), f"nu_2 at {w.to_text()}")
             for value in nus:
                 if value not in (-1, 0, 1):
                     raise ArithmeticError(
                         f"degree-2 indicator out of range: {value}")
         else:
-            if not vanishing_witness(g, sub, m):
-                nus = [0] * len(table.characters)
-            else:
-                cd = conjugacy_classes(stab)
-                counts = _coset_power_counts(g, sub, cd, m)
-                unit = Fraction(1, stab.order())
-                nus = [_as_int(
-                    _pair_counts(counts, [v.conj() for v in chi.values])
-                    .scaled(unit), f"nu_{m} at {g.to_text()}")
-                    for chi in table.characters]
+            counts = _coset_power_counts(g, sub, conjugacy_classes(stab), m)
+            nus = _census_indicators(counts, table.characters, stab.order(),
+                                     f"nu_{m} at {g.to_text()}", conj=True)
         for chi, value in zip(table.characters, nus):
             entries.append(IndicatorEntry(rep=g, stab_order=stab.order(),
                                           chi_degree=chi.degree, nu=value))

@@ -4,17 +4,8 @@ import json
 
 import pytest
 
-from fscat import config
+from fscat import config, double_cosets, sym, sym_embed
 from fscat.cli import GroupSpec, main, parse_group_spec
-
-
-@pytest.fixture(autouse=True)
-def restore_bounds():
-    """main() applies bound flags to the config module; undo after each test."""
-    enum_bound, index_bound = config.ENUMERATION_BOUND, config.INDEX_BOUND
-    yield
-    config.ENUMERATION_BOUND = enum_bound
-    config.INDEX_BOUND = index_bound
 
 
 def test_group_specs_round_trip():
@@ -100,6 +91,8 @@ def test_identical_runs_are_byte_identical(tmp_path):
 def test_not_a_subgroup_is_a_usage_error(capsys):
     assert main(["indicators", "--G", "alt:4", "--H", "cyclic:4"]) == 2
     assert "not a subgroup" in capsys.readouterr().err
+    assert main(["indicators", "--G", "sym:5", "--H", "sym:6"]) == 2
+    assert "degree" in capsys.readouterr().err
 
 
 def test_double_cosets_listing(capsys):
@@ -149,6 +142,22 @@ def test_index_bound_flag_shrinks_the_reach(capsys):
     assert main(["--index-bound", "10", "double-cosets",
                  "--G", "sym:5", "--H", "sym-embed:2,5"]) == 2
     assert "index bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["double-cosets", "--G", "sym:5", "--H", "sym-embed:2,5"],  # exits 2
+    ["census", "--l", "2", "--n", "3"],                          # exits 0
+])
+def test_bound_flags_end_with_the_call(argv, capsys):
+    before = config.ENUMERATION_BOUND, config.INDEX_BOUND
+    main(["--enum-bound", "100", "--index-bound", "10"] + argv)
+    assert (config.ENUMERATION_BOUND, config.INDEX_BOUND) == before
+    assert len(double_cosets(sym(5), sym_embed(2, 5))) == 33
+
+
+def test_verify_all_reports_a_tripped_bound_as_skipped(capsys):
+    assert main(["--enum-bound", "100", "verify-all"]) == 0
+    assert "skipped ex-nu-p: enumeration bound" in capsys.readouterr().out
 
 
 def test_config_file_sets_bounds(tmp_path, capsys):
