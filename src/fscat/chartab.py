@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_SEED
 from .cyclo import ZERO, Cyclotomic, _prime_factors
-from .perm import Permutation, PermGroup, _conj, _inv, _mul
+from .perm import Permutation, PermGroup, _inv, _mul
 
 
 # -- conjugacy classes ------------------------------------------------------
@@ -31,7 +31,7 @@ class ClassData:
     def __init__(self, group: PermGroup):
         self.group = group
         elems = group.element_tuples()
-        gen_raws = [g._img for g in group.generators]
+        gen_pairs = [(g._img, _inv(g._img)) for g in group.generators]
         found: dict[tuple[int, ...], int] = {}
         orbits: list[list[tuple[int, ...]]] = []
         for start in elems:
@@ -44,8 +44,8 @@ class ClassData:
             while head < len(orbit):
                 x = orbit[head]
                 head += 1
-                for s in gen_raws:
-                    y = _conj(s, x)
+                for s, s_inv in gen_pairs:
+                    y = _mul(_mul(s, x), s_inv)
                     if y not in found:
                         found[y] = cid
                         orbit.append(y)
@@ -92,11 +92,9 @@ class ClassData:
 
 
 def conjugacy_classes(group: PermGroup) -> ClassData:
-    cached = getattr(group, "_class_data", None)
-    if cached is None:
-        cached = ClassData(group)
-        group._class_data = cached
-    return cached
+    if group._class_data is None:
+        group._class_data = ClassData(group)
+    return group._class_data
 
 
 def is_ambivalent(group: PermGroup) -> bool:
@@ -336,11 +334,9 @@ def _fmt_value(v: Cyclotomic) -> str:
 
 def character_table(group: PermGroup, seed: int = DEFAULT_SEED) -> CharacterTable:
     """Exact character table; the result does not depend on the seed."""
-    cached = getattr(group, "_char_table", None)
-    if cached is None:
-        cached = _dixon(group, seed)
-        group._char_table = cached
-    return cached
+    if group._char_table is None:
+        group._char_table = _dixon(group, seed)
+    return group._char_table
 
 
 def _dixon(group: PermGroup, seed: int) -> CharacterTable:

@@ -3,17 +3,27 @@
 Left cosets y*H are identified by the lexicographically least image tuple they
 contain.  Double cosets H\\G/H are the orbits of H acting on those canonical
 representatives by left multiplication; the stored representative is the least
-one in the orbit.  For a symmetric subgroup on an initial segment of letters,
-a rewriting by transpositions brings any coset representative to a form where
-no cycle holds two moved letters of the subgroup, which decides whether the
-double coset supports any nonzero degree-2 indicator.
+one in the orbit.
+
+The orbit walk also yields the stabilizer S(rep) = H & rep*H*rep^-1.  It has
+order |H| / |orbit| (orbit-stabilizer theorem), and the Schreier generators
+of the walk's closing edges generate it (Schreier's lemma; Seress,
+Permutation Group Algorithms, ch. 4).  So each double coset carries
+generators of S(rep) without a pass over H.  stabilizer() filters H instead,
+for a single coset of any element.
+
+For a symmetric subgroup on an initial segment of letters, a rewriting by
+transpositions brings any coset representative to a form where no cycle
+holds two moved letters of the subgroup, which decides whether the double
+coset supports any nonzero degree-2 indicator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import config
-from .perm import BoundExceeded, Permutation, PermGroup, _conj, _inv, _mul, sym, sym_embed
+from .perm import (BoundExceeded, Permutation, PermGroup, _identity, _inv, _mul,
+                   sym, sym_embed)
 
 
 def _check_inclusion(group: PermGroup, sub: PermGroup) -> None:
@@ -60,12 +70,16 @@ class DoubleCoset:
 
     left_indices point into the sorted left-coset representative list (and so
     also into the right transversal, which is its elementwise inverse).
+    stab_gens generate the stabilizer S(rep) = sub & rep*sub*rep^-1, as raw
+    0-based image tuples; they are Schreier generators recorded by the orbit
+    walk that found the double coset.
     """
 
     rep: Permutation
     n_left: int
     size: int
     left_indices: tuple[int, ...]
+    stab_gens: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -82,33 +96,66 @@ class DoubleCosetDecomposition:
         return iter(self.cosets)
 
 
+def _coset_orbit(start: tuple[int, ...], sub: PermGroup
+                 ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """The canonical left cosets in the sub-orbit of start*sub, and raw
+    generators of their stabilizer S(start).
+
+    The walk keeps a Schreier transversal: trans[c] in sub carries start*sub
+    to c*sub.  An edge c -> s*c that reaches a coset already seen gives the
+    Schreier generator trans[s*c]^-1 * s * trans[c], which fixes start*sub;
+    together these generate S(start).  Once the orbit is closed,
+    |S(start)| = |sub| / |orbit|, so they are sifted into a growing group only
+    until it reaches that order.
+    """
+    gens = [g._img for g in sub.generators]
+    idt = _identity(len(start))
+    trans = {start: idt}
+    orbit = [start]
+    closing = []
+    for c in orbit:
+        t_c = trans[c]
+        for s in gens:
+            nxt = sub.coset_min(_mul(s, c))
+            if nxt in trans:
+                closing.append((s, t_c, nxt))
+            else:
+                trans[nxt] = _mul(s, t_c)
+                orbit.append(nxt)
+    target = sub.order() // len(orbit)
+    found: list[tuple[int, ...]] = []
+    grown = PermGroup(len(start), [])
+    order = 1
+    for s, t_c, nxt in closing:
+        if order == target:
+            break
+        x = _mul(_inv(trans[nxt]), _mul(s, t_c))
+        if x != idt and (not found or grown._sift(x) != idt):
+            found.append(x)
+            grown = PermGroup(len(start), [Permutation._from_raw(t) for t in found])
+            order = grown.order()
+    assert order == target
+    return orbit, tuple(found)
+
+
 def double_cosets(group: PermGroup, sub: PermGroup,
                   limit: int | None = None) -> DoubleCosetDecomposition:
     """Double cosets of sub in group, sorted by canonical representative."""
     reps = left_coset_reps(group, sub, limit)
     pos = {p._img: i for i, p in enumerate(reps)}
-    sub_gens = [g._img for g in sub.generators]
     h_order = sub.order()
-    visited: set[tuple[int, ...]] = set()
+    visited = bytearray(len(reps))
     out = []
-    for start_p in reps:
-        start = start_p._img
-        if start in visited:
+    for i, start_p in enumerate(reps):
+        if visited[i]:
             continue
-        orbit = [start]
-        visited.add(start)
-        head = 0
-        while head < len(orbit):
-            c = orbit[head]
-            head += 1
-            for s in sub_gens:
-                nxt = sub.coset_min(_mul(s, c))
-                if nxt not in visited:
-                    visited.add(nxt)
-                    orbit.append(nxt)
+        orbit, stab_gens = _coset_orbit(start_p._img, sub)
+        left_indices = tuple(sorted(pos[c] for c in orbit))
+        for j in left_indices:
+            visited[j] = 1
         out.append(DoubleCoset(rep=start_p, n_left=len(orbit),
                                size=len(orbit) * h_order,
-                               left_indices=tuple(sorted(pos[c] for c in orbit))))
+                               left_indices=left_indices, stab_gens=stab_gens))
     assert sum(dc.size for dc in out) == group.order()
     return DoubleCosetDecomposition(group=group, sub=sub,
                                     left_reps=tuple(reps), cosets=tuple(out))
@@ -128,8 +175,8 @@ def stabilizer(g: Permutation, sub: PermGroup) -> Stabilizer:
     if g.degree != sub.degree:
         raise ValueError("degree mismatch")
     members = sub.element_set()
-    gi = _inv(g._img)
-    kept = [x for x in sub.element_tuples() if _conj(gi, x) in members]
+    g_raw, gi = g._img, _inv(g._img)
+    kept = [x for x in sub.element_tuples() if _mul(_mul(gi, x), g_raw) in members]
     return Stabilizer(g=g, group=PermGroup._from_element_tuples(sub.degree, kept),
                       ambient=sub)
 

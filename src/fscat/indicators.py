@@ -42,7 +42,7 @@ from .chartab import (
     nu_classical,
 )
 from .config import DEFAULT_SEED
-from .cosets import double_cosets, stabilizer
+from .cosets import DoubleCosetDecomposition, double_cosets, stabilizer
 from .cyclo import ZERO, Cyclotomic
 from .perm import PermGroup, Permutation, _conj, _identity, _inv, _mul, conjugate
 
@@ -258,9 +258,10 @@ def nu_twisted(chi: Character, u: Permutation) -> int:
             raise ValueError("u must normalize the group of chi")
         if _conj(uu, s._img) != s._img:
             raise ValueError("u^2 must centralize the group of chi")
+    u_inv = _inv(u_raw)
     counts = [0] * len(cd)
     for x in cd.group.element_tuples():
-        counts[cd._index[_mul(x, _conj(u_raw, x))]] += 1
+        counts[cd._index[_mul(x, _mul(_mul(u_raw, x), u_inv))]] += 1
     return _census_indicators(counts, [chi], cd.group.order(),
                               f"twisted indicator by {u.to_text()}")[0]
 
@@ -327,8 +328,9 @@ def reduction_check(t: Permutation, f: Permutation, sub: PermGroup,
         raise ValueError("t must be an involution")
     if not sub.is_subgroup_of(over):
         raise ValueError("sub must sit inside over")
+    t_raw, t_inv = t._img, _inv(t._img)
     for x in sub.element_tuples():
-        y = _conj(t._img, x)
+        y = _mul(_mul(t_raw, x), t_inv)
         if y not in members and over.member(Permutation._from_raw(y)):
             raise ValueError("conjugation by t pushes part of H into over - H")
     reduced = stabilizer(t, sub).group
@@ -402,17 +404,46 @@ def _gens_label(group: PermGroup) -> str:
     return f"gens:{gens}@{group.degree}"
 
 
+def _stabilizer_classes(decomposition: DoubleCosetDecomposition
+                        ) -> list[tuple[PermGroup, list[int]]]:
+    """The distinct stabilizers S(g) of a decomposition's double cosets, each
+    with the positions of the cosets that have it.
+
+    Two stabilizers are equal when they have the same order and the
+    generators of one lie in the other.  Only chains are built; nothing is
+    enumerated.
+    """
+    sub = decomposition.sub
+    h_order = sub.order()
+    classes: list[tuple[PermGroup, list[int]]] = []
+    by_order: dict[int, list[int]] = {}
+    for i, dc in enumerate(decomposition.cosets):
+        gens = [Permutation._from_raw(x) for x in dc.stab_gens]
+        bucket = by_order.setdefault(h_order // dc.n_left, [])
+        for k in bucket:
+            stab, where = classes[k]
+            if all(stab.member(x) for x in gens):
+                where.append(i)
+                break
+        else:
+            bucket.append(len(classes))
+            classes.append((PermGroup(sub.degree, gens), [i]))
+    return classes
+
+
 def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                   group_label: str | None = None,
                   sub_label: str | None = None,
                   seed: int | None = None) -> IndicatorReport:
     """Indicators of every simple object of the pair category of (G, H).
 
-    One stabilizer and one character table are computed per double coset; the
-    left cosets inside share them by conjugation.  Per coset, m = 2 takes the
-    stabilizer-only sum at an adjusted representative and every other m the
-    defining H-sum.  The seed feeds the table computation only; results do
-    not depend on it.
+    The stabilizers come from the double-coset walk.  Each distinct
+    stabilizer is enumerated, and its classes and character table built,
+    once for all the double cosets that share it, and dropped before the
+    next.  Per coset, m = 2 takes the stabilizer-only sum at an adjusted
+    representative and every other m the defining H-sum.  Rows are emitted
+    in double-coset order.  The seed feeds the table computation only;
+    results do not depend on it.
     """
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
@@ -422,33 +453,41 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     # enumeration bound at once.
     members = sub.element_set()
     decomposition = double_cosets(group, sub)
-    entries: list[IndicatorEntry] = []
-    for dc in decomposition.cosets:
-        g = dc.rep
-        stab = stabilizer(g, sub).group
+    rows: list[list[IndicatorEntry]] = [[] for _ in decomposition.cosets]
+    classes = _stabilizer_classes(decomposition)
+    while classes:
+        stab, where = classes.pop()
         table = character_table(stab, seed)
-        if m == 2:
-            w = two_power_rep(g, sub)
-            if w is None:
-                nus = [0] * len(table.characters)
-            elif w._img in members:
-                nus = [_as_int(nu_classical(chi), "classical nu_2")
-                       for chi in table.characters]
+        for i in where:
+            g = decomposition.cosets[i].rep
+            if m == 2:
+                w = two_power_rep(g, sub)
+                if w is None:
+                    nus = [0] * len(table.characters)
+                elif w._img in members:
+                    nus = [_as_int(nu_classical(chi), "classical nu_2")
+                           for chi in table.characters]
+                else:
+                    counts = _square_counts(w, conjugacy_classes(stab))
+                    nus = _census_indicators(counts, table.characters,
+                                             stab.order(),
+                                             f"nu_2 at {w.to_text()}")
+                for value in nus:
+                    if value not in (-1, 0, 1):
+                        raise ArithmeticError(
+                            f"degree-2 indicator out of range: {value}")
             else:
-                counts = _square_counts(w, conjugacy_classes(stab))
+                counts = _coset_power_counts(g, sub, conjugacy_classes(stab), m)
                 nus = _census_indicators(counts, table.characters,
-                                         stab.order(), f"nu_2 at {w.to_text()}")
-            for value in nus:
-                if value not in (-1, 0, 1):
-                    raise ArithmeticError(
-                        f"degree-2 indicator out of range: {value}")
-        else:
-            counts = _coset_power_counts(g, sub, conjugacy_classes(stab), m)
-            nus = _census_indicators(counts, table.characters, stab.order(),
-                                     f"nu_{m} at {g.to_text()}", conj=True)
-        for chi, value in zip(table.characters, nus):
-            entries.append(IndicatorEntry(rep=g, stab_order=stab.order(),
-                                          chi_degree=chi.degree, nu=value))
+                                         stab.order(),
+                                         f"nu_{m} at {g.to_text()}", conj=True)
+            rows[i] = [IndicatorEntry(rep=g, stab_order=stab.order(),
+                                      chi_degree=chi.degree, nu=value)
+                       for chi, value in zip(table.characters, nus)]
+        # Hold no reference to this stabilizer, its classes or its table
+        # while the next one is enumerated.
+        del stab, table
+    entries = [entry for row in rows for entry in row]
     return IndicatorReport(
         group_label=group_label or _gens_label(group),
         sub_label=sub_label or _gens_label(sub),

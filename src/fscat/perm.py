@@ -278,6 +278,9 @@ class PermGroup:
         self._order: int | None = None
         self._elem_tuples: list[tuple[int, ...]] | None = None
         self._elem_set: frozenset | None = None
+        # filled by chartab.conjugacy_classes and chartab.character_table
+        self._class_data = None
+        self._char_table = None
 
     # -- stabilizer chain ---------------------------------------------------
 

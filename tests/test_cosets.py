@@ -19,7 +19,16 @@ from fscat.cosets import (
     sym_census,
     sym_normal_form,
 )
-from fscat.perm import Permutation, alt, cyclic, sym, sym_embed
+from fscat.perm import (
+    Permutation,
+    PermGroup,
+    alt,
+    alt_embed,
+    cyclic,
+    sym,
+    sym_embed,
+    tilde_sym,
+)
 
 P = Permutation.from_text
 
@@ -102,6 +111,26 @@ def test_double_cosets_match_brute_partition():
         for dc in dec:
             assert dc.size == dc.n_left * sub.order()
             assert len(dc.left_indices) == dc.n_left
+        assert_orbit_stabilizers(dec)
+
+
+def assert_orbit_stabilizers(dec):
+    """The recorded generators of each S(rep) give the filtered stabilizer."""
+    sub = dec.sub
+    for dc in dec:
+        grp = PermGroup(sub.degree,
+                        [Permutation._from_raw(x) for x in dc.stab_gens])
+        assert grp.order() == sub.order() // dc.n_left
+        assert grp.element_set() == stabilizer(dc.rep, sub).group.element_set()
+
+
+def test_orbit_stabilizers_beyond_initial_symmetric_subgroups():
+    dec = double_cosets(sym(8), cyclic(8))
+    assert len(dec) == 640
+    assert_orbit_stabilizers(dec)
+    for group, sub in [(sym(7), tilde_sym(7)), (alt(7), alt_embed(4, 7)),
+                       (sym(6), alt(6)), (sym(7), tilde_sym(5, degree=7))]:
+        assert_orbit_stabilizers(double_cosets(group, sub))
 
 
 def test_double_coset_reps_are_minimal_and_sorted():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from fscat import chartab
 from fscat.chartab import character_table, nu_classical
 from fscat.cosets import is_null_coset, double_cosets, stabilizer
 from fscat.indicators import (
@@ -221,6 +222,38 @@ def test_scan_report_serialization():
                           group_label="sym:4", sub_label="alt:4")
     assert again.to_json() == report.to_json()
     assert again.to_csv() == report.to_csv()
+
+
+SHARING_CASES = {
+    "S6-Sym3": lambda: (sym(6), sym_embed(3, 6)),
+    "S7-tildeS5": lambda: (sym(7), tilde_sym(5, degree=7)),
+}
+
+
+@pytest.mark.parametrize("case, m", [("S6-Sym3", 2), ("S6-Sym3", 3),
+                                     ("S7-tildeS5", 2)])
+def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
+    group, sub = SHARING_CASES[case]()
+    expected = []
+    distinct = set()
+    for dc in double_cosets(group, sub):
+        stab = stabilizer(dc.rep, sub).group
+        distinct.add(stab.element_set())
+        for chi in character_table(stab).characters:
+            expected.append((dc.rep, stab.order(), chi.degree,
+                             nu_m(dc.rep, chi, sub, m)))
+    built = []
+    dixon = chartab._dixon
+
+    def counting_dixon(grp, seed):
+        built.append(grp.order())
+        return dixon(grp, seed)
+
+    monkeypatch.setattr(chartab, "_dixon", counting_dixon)
+    report = category_scan(group, sub, m)
+    assert [(e.rep, e.stab_order, e.chi_degree, e.nu)
+            for e in report.entries] == expected
+    assert len(built) == len(distinct)
 
 
 def test_scan_rejects_non_subgroup():
