@@ -25,7 +25,6 @@ from .cosets import (
     left_coset_reps,
     normal_form_census,
     normal_form_with_multiplier,
-    right_transversal,
     stabilizer,
     sym_census,
     sym_normal_form,
@@ -56,11 +55,8 @@ from .perm import (
     Permutation,
     alt,
     alt_embed,
-    compose,
     conjugate,
     cyclic,
-    element_order,
-    sign,
     sym,
     sym_embed,
     sym_prime,
@@ -71,19 +67,20 @@ from .perm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundExceeded", "Character", "CharacterTable", "ClassData", "Cyclotomic",
-    "DoubleCoset", "DoubleCosetDecomposition", "GroupSpec",
+    "BoundExceeded", "Character", "CharacterTable", "ClassData",
+    "Cyclotomic", "DoubleCoset", "DoubleCosetDecomposition", "GroupSpec",
     "IndexTwoOvergroup", "IndicatorEntry", "IndicatorReport",
     "InvarianceCheck", "PermGroup", "Permutation", "ReductionCheck",
     "RunConfig", "Stabilizer", "VerificationReport", "alt", "alt_embed",
-    "canonical_normal_form", "category_scan", "character_table", "claim_ids",
-    "compose", "conjugacy_classes", "conjugate", "cyclic", "double_cosets",
-    "element_order", "index_two_overgroup", "induce", "inner_product",
-    "invariance_check", "is_ambivalent", "is_null_coset", "left_coset_reps",
-    "load_config", "main", "normal_form_census", "normal_form_with_multiplier",
-    "nu2_extension", "nu2_induced", "nu2_squares", "nu2_stab", "nu_classical",
-    "nu_m", "nu_twisted", "parse_group_spec", "reduction_check",
-    "right_transversal", "root_of_unity", "run_all", "sign", "stabilizer",
-    "sym", "sym_census", "sym_embed", "sym_normal_form", "sym_prime",
-    "tilde_sym", "trivial", "two_power_rep", "vanishing_witness", "verify",
+    "canonical_normal_form", "category_scan", "character_table",
+    "claim_ids", "conjugacy_classes", "conjugate", "cyclic",
+    "double_cosets", "index_two_overgroup", "induce", "inner_product",
+    "invariance_check", "is_ambivalent", "is_null_coset",
+    "left_coset_reps", "load_config", "main", "normal_form_census",
+    "normal_form_with_multiplier", "nu2_extension", "nu2_induced",
+    "nu2_squares", "nu2_stab", "nu_classical", "nu_m", "nu_twisted",
+    "parse_group_spec", "reduction_check", "root_of_unity", "run_all",
+    "stabilizer", "sym", "sym_census", "sym_embed", "sym_normal_form",
+    "sym_prime", "tilde_sym", "trivial", "two_power_rep",
+    "vanishing_witness", "verify",
 ]

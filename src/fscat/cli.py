@@ -266,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--index-bound", type=int, metavar="N",
                         help="largest coset index to traverse")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="seed for the character table search; results "
-                             "do not depend on it")
+                        help="accepted for compatibility; character tables "
+                             "are deterministic and ignore it")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to this file instead of stdout")
     commands = parser.add_subparsers(dest="command", required=True)

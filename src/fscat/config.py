@@ -16,6 +16,7 @@ CONFIG_ENV_VAR = "FSCAT_CONFIG"
 class RunConfig:
     enumeration_bound: int = ENUMERATION_BOUND
     index_bound: int = INDEX_BOUND
+    # accepted for compatibility; character tables are deterministic
     seed: int = DEFAULT_SEED
 
     def validate(self) -> "RunConfig":

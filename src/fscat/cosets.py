@@ -58,18 +58,12 @@ def left_coset_reps(group: PermGroup, sub: PermGroup,
     return [Permutation._from_raw(t) for t in sorted(queue)]
 
 
-def right_transversal(group: PermGroup, sub: PermGroup,
-                      limit: int | None = None) -> list[Permutation]:
-    """Representatives t with group partitioned into the right cosets sub*t."""
-    return [p.inverse() for p in left_coset_reps(group, sub, limit)]
-
-
 @dataclass(frozen=True)
 class DoubleCoset:
     """One double coset sub*rep*sub with its size data.
 
     left_indices point into the sorted left-coset representative list (and so
-    also into the right transversal, which is its elementwise inverse).
+    also into the right transversal made of their inverses).
     stab_gens generate the stabilizer S(rep) = sub & rep*sub*rep^-1, as raw
     0-based image tuples; they are Schreier generators recorded by the orbit
     walk that found the double coset.

@@ -41,7 +41,6 @@ from .chartab import (
     inner_product,
     nu_classical,
 )
-from .config import DEFAULT_SEED
 from .cosets import DoubleCosetDecomposition, double_cosets, stabilizer
 from .cyclo import ZERO, Cyclotomic
 from .perm import PermGroup, Permutation, _conj, _identity, _inv, _mul, conjugate
@@ -442,13 +441,11 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     once for all the double cosets that share it, and dropped before the
     next.  Per coset, m = 2 takes the stabilizer-only sum at an adjusted
     representative and every other m the defining H-sum.  Rows are emitted
-    in double-coset order.  The seed feeds the table computation only;
-    results do not depend on it.
+    in double-coset order.  Tables are deterministic; seed is accepted for
+    compatibility and affects nothing.
     """
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
-    if seed is None:
-        seed = DEFAULT_SEED
     # Enumerate H before the coset walk, so an oversized H trips the
     # enumeration bound at once.
     members = sub.element_set()
@@ -457,7 +454,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     classes = _stabilizer_classes(decomposition)
     while classes:
         stab, where = classes.pop()
-        table = character_table(stab, seed)
+        table = character_table(stab)
         for i in where:
             g = decomposition.cosets[i].rep
             if m == 2:
@@ -485,7 +482,9 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                                       chi_degree=chi.degree, nu=value)
                        for chi, value in zip(table.characters, nus)]
         # Hold no reference to this stabilizer, its classes or its table
-        # while the next one is enumerated.
+        # while the next one is enumerated.  The caches point back at the
+        # group, so clear them to let reference counting free all three now.
+        stab._class_data = stab._char_table = None
         del stab, table
     entries = [entry for row in rows for entry in row]
     return IndicatorReport(

@@ -221,24 +221,11 @@ class Permutation:
         return f"Permutation.from_text({self.to_text(with_degree=True)!r})"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """a composed with b, applying b first."""
-    return a * b
-
-
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
     """g acting on x: g * x * g^-1."""
     if g.degree != x.degree:
         raise ValueError(f"degree mismatch: {g.degree} vs {x.degree}")
     return Permutation._from_raw(_conj(g._img, x._img))
-
-
-def sign(p: Permutation) -> int:
-    return p.sign
-
-
-def element_order(p: Permutation) -> int:
-    return p.order
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +342,9 @@ class PermGroup:
 
         for b in range(n - 2, -1, -1):
             complete(b)
+        # complete refers to itself through its closure; break that cycle so
+        # the chain's working state is freed by reference counting
+        del complete
         self._levels = levels
         self._order = math.prod(len(lv.orbit) for lv in levels)
 

@@ -14,9 +14,10 @@ from fscat.chartab import (
     is_ambivalent,
     nu_classical,
 )
-from fscat.cyclo import Cyclotomic
-from fscat.perm import Permutation, PermGroup, alt, cyclic, sym
+from fscat.cyclo import ZERO, Cyclotomic
+from fscat.perm import Permutation, PermGroup, _inv, _mul, alt, cyclic, sym, trivial
 
+P = Permutation.from_text
 q = Cyclotomic.from_rational
 z = Cyclotomic.zeta
 
@@ -224,6 +225,47 @@ def test_table_is_seed_independent():
     other = character_table(sym(4), seed=99)
     assert [chi.values for chi in ref.characters] == \
         [chi.values for chi in other.characters]
+
+
+CLASS_ALGEBRA_GROUPS = {
+    "trivial(3)": lambda: trivial(3),
+    "C2": lambda: cyclic(2),
+    "C2^3": lambda: PermGroup(6, [P("(1,2)", 6), P("(3,4)", 6), P("(5,6)", 6)]),
+    "C3^2": lambda: PermGroup(6, [P("(1,2,3)", 6), P("(4,5,6)", 6)]),
+    "C8": lambda: cyclic(8),
+    "A6": lambda: alt(6),
+    "C2xS6": lambda: PermGroup(10, [P("(1,2)(3,4)", 10), P("(5,6)", 10),
+                                    P("(5,6,7,8,9,10)", 10)]),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_ALGEBRA_GROUPS))
+def test_rows_are_central_characters_of_the_full_class_algebra(name):
+    # a[i][j][k] = #{(x, y) in C_i x C_j : x y = z_k}, by brute force over G;
+    # every row must give w_i w_j = sum_k a[i][j][k] w_k exactly, where
+    # w_i = |C_i| chi(g_i) / chi(1) is the central character of chi
+    group = CLASS_ALGEBRA_GROUPS[name]()
+    table = character_table(group)
+    cd = table.classes
+    r = len(cd)
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for x in group.element_tuples():
+        rows, ix = a[cd._index[x]], _inv(x)
+        for k, rep in enumerate(cd.reps):
+            rows[cd._index[_mul(ix, rep._img)]][k] += 1
+    assert all(sum(a[i][j][k] for i in range(r) for j in range(r)) == group.order()
+               for k in range(r))
+    assert len(table) == r
+    for chi in table.characters:
+        w = [v.scaled(Fraction(h, chi.degree))
+             for h, v in zip(cd.sizes, chi.values)]
+        for i in range(r):
+            for j in range(i, r):
+                total = ZERO
+                for k in range(r):
+                    if a[i][j][k]:
+                        total = total + w[k].scaled(a[i][j][k])
+                assert w[i] * w[j] == total, (name, i, j)
 
 
 def test_dump_format():

@@ -14,7 +14,6 @@ from fscat.cosets import (
     left_coset_reps,
     normal_form_census,
     normal_form_with_multiplier,
-    right_transversal,
     stabilizer,
     sym_census,
     sym_normal_form,
@@ -81,7 +80,7 @@ def test_left_reps_are_lex_minimal_in_their_coset():
 
 def test_right_transversal_covers_disjointly():
     group, sub = sym(4), sym_embed(3, 4)
-    reps = right_transversal(group, sub)
+    reps = [p.inverse() for p in left_coset_reps(group, sub)]
     covered = set()
     for r in reps:
         coset = {(Permutation._from_raw(t) * r)._img for t in sub.element_tuples()}

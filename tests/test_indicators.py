@@ -1,11 +1,13 @@
 """Indicator formulas, their shortcut routes, and the category scan."""
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
-from fscat import chartab
+from fscat import chartab, indicators
 from fscat.chartab import character_table, nu_classical
 from fscat.cosets import is_null_coset, double_cosets, stabilizer
 from fscat.indicators import (
@@ -245,15 +247,38 @@ def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
     built = []
     dixon = chartab._dixon
 
-    def counting_dixon(grp, seed):
+    def counting_dixon(grp):
         built.append(grp.order())
-        return dixon(grp, seed)
+        return dixon(grp)
 
     monkeypatch.setattr(chartab, "_dixon", counting_dixon)
     report = category_scan(group, sub, m)
     assert [(e.rep, e.stab_order, e.chi_degree, e.nu)
             for e in report.entries] == expected
     assert len(built) == len(distinct)
+
+
+def test_scan_frees_each_stabilizer_without_the_collector(monkeypatch):
+    # with the cyclic collector off, reference counting alone must free
+    # every stabilizer (with its classes and table) by the time the scan
+    # returns
+    tabled = []
+    table_of = indicators.character_table
+
+    def watching_table(grp, *args, **kwargs):
+        tabled.append(weakref.ref(grp))
+        return table_of(grp, *args, **kwargs)
+
+    monkeypatch.setattr(indicators, "character_table", watching_table)
+    gc.collect()
+    gc.disable()
+    try:
+        report = category_scan(sym(6), sym_embed(3, 6))
+        assert report.entries
+        assert tabled
+        assert all(ref() is None for ref in tabled)
+    finally:
+        gc.enable()
 
 
 def test_scan_rejects_non_subgroup():

@@ -1,6 +1,7 @@
 """Permutation arithmetic and group membership tests."""
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -13,10 +14,8 @@ from fscat.perm import (
     Permutation,
     alt,
     alt_embed,
-    compose,
     conjugate,
     cyclic,
-    element_order,
     embedded,
     sym,
     sym_embed,
@@ -81,8 +80,8 @@ def test_sign_and_order():
     assert P("(1,2)", 5).sign == -1
     assert P("(1,2,3)", 5).sign == 1
     assert P("(1,2)(3,4,5)").sign == -1
-    assert element_order(P("(1,2)(3,4,5)")) == 6
-    assert element_order(Permutation.identity(4)) == 1
+    assert P("(1,2)(3,4,5)").order == 6
+    assert Permutation.identity(4).order == 1
 
 
 def test_conjugate_example():
@@ -173,6 +172,20 @@ def test_enumeration_bound():
     assert "1000000" in str(exc.value)
 
 
+def test_dropped_group_leaves_no_cyclic_garbage():
+    # the chain build must not leave reference cycles behind, so dropping a
+    # group frees its chain and elements without the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        grp = sym(7)
+        assert len(grp.element_tuples()) == 5040
+        del grp
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_group_from_element_tuples():
     elems = alt(4).element_tuples()
     rebuilt = PermGroup._from_element_tuples(4, elems)
@@ -228,7 +241,7 @@ def test_conjugation_distributes_over_composition(g, x, y):
 @given(perms(max_degree=7))
 def test_order_annihilates(p):
     assert (p ** p.order).is_identity()
-    assert p.order == element_order(p)
+    assert not any((p ** k).is_identity() for k in range(1, p.order))
 
 
 @given(st.lists(perms(degree=6), min_size=0, max_size=2))
