@@ -12,6 +12,14 @@ Permutation Group Algorithms, ch. 4).  So each double coset carries
 generators of S(rep) without a pass over H.  stabilizer() filters H instead,
 for a single coset of any element.
 
+The same walk decides whether a double coset is self-inverse, that is whether
+rep^-1 lies in H*rep*H: exactly when the canonical left coset of rep^-1 is in
+the orbit, one coset_min per double coset.  This is the case exactly when
+some element of rep*H squares into H.  If rep^-1 = h1*rep*h2, then
+(rep*h1)^2 = h2^-1*h1 lies in H; conversely, if (rep*x)^2 = h lies in H, then
+rep^-1 = x*rep*(x*h^-1).  So on a double coset that is not self-inverse every
+degree-2 indicator vanishes.
+
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
 holds two moved letters of the subgroup, which decides whether the double
@@ -67,6 +75,11 @@ class DoubleCoset:
     stab_gens generate the stabilizer S(rep) = sub & rep*sub*rep^-1, as raw
     0-based image tuples; they are Schreier generators recorded by the orbit
     walk that found the double coset.
+    self_inverse tells whether rep^-1 lies in sub*rep*sub, that is whether
+    the left coset rep^-1*sub was reached by the same walk.  It holds exactly
+    when some element of rep*sub squares into sub: if rep^-1 = h1*rep*h2
+    then (rep*h1)^2 = h2^-1*h1, and if (rep*x)^2 = h then
+    rep^-1 = x*rep*(x*h^-1).
     """
 
     rep: Permutation
@@ -74,6 +87,7 @@ class DoubleCoset:
     size: int
     left_indices: tuple[int, ...]
     stab_gens: tuple[tuple[int, ...], ...]
+    self_inverse: bool
 
 
 @dataclass(frozen=True)
@@ -91,9 +105,11 @@ class DoubleCosetDecomposition:
 
 
 def _coset_orbit(start: tuple[int, ...], sub: PermGroup
-                 ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
-    """The canonical left cosets in the sub-orbit of start*sub, and raw
-    generators of their stabilizer S(start).
+                 ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...],
+                            bool]:
+    """The canonical left cosets in the sub-orbit of start*sub, raw
+    generators of their stabilizer S(start), and whether start^-1*sub lies in
+    that orbit (DoubleCoset.self_inverse).
 
     The walk keeps a Schreier transversal: trans[c] in sub carries start*sub
     to c*sub.  An edge c -> s*c that reaches a coset already seen gives the
@@ -129,7 +145,7 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup
             grown = PermGroup(len(start), [Permutation._from_raw(t) for t in found])
             order = grown.order()
     assert order == target
-    return orbit, tuple(found)
+    return orbit, tuple(found), sub.coset_min(_inv(start)) in trans
 
 
 def double_cosets(group: PermGroup, sub: PermGroup,
@@ -143,13 +159,14 @@ def double_cosets(group: PermGroup, sub: PermGroup,
     for i, start_p in enumerate(reps):
         if visited[i]:
             continue
-        orbit, stab_gens = _coset_orbit(start_p._img, sub)
+        orbit, stab_gens, self_inverse = _coset_orbit(start_p._img, sub)
         left_indices = tuple(sorted(pos[c] for c in orbit))
         for j in left_indices:
             visited[j] = 1
         out.append(DoubleCoset(rep=start_p, n_left=len(orbit),
                                size=len(orbit) * h_order,
-                               left_indices=left_indices, stab_gens=stab_gens))
+                               left_indices=left_indices, stab_gens=stab_gens,
+                               self_inverse=self_inverse))
     assert sum(dc.size for dc in out) == group.order()
     return DoubleCosetDecomposition(group=group, sub=sub,
                                     left_reps=tuple(reps), cosets=tuple(out))

@@ -19,9 +19,12 @@ implemented here and cross-checked in the test suite:
   * nu_twisted     the twisted indicator sum chi(x * u x u^-1) over S.
 
 category_scan walks every double coset and reports one row per simple
-object.  For m = 2 it uses the stabilizer sum at an adjusted representative
-(or zero, or the classical indicator, when the coset has no element squaring
-into H, or such an element inside H); for m != 2 it uses the defining sum.
+object.  For m = 2 the double-coset walk has already decided vanishing: a
+coset that is not self-inverse (DoubleCoset.self_inverse) has no element
+squaring into H, so all its indicators are zero without a sum.  Otherwise
+the scan uses the stabilizer sum at an adjusted representative, or the
+classical indicator when that representative lies in H.  For m != 2 it uses
+the defining sum.
 """
 from __future__ import annotations
 
@@ -439,10 +442,11 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     The stabilizers come from the double-coset walk.  Each distinct
     stabilizer is enumerated, and its classes and character table built,
     once for all the double cosets that share it, and dropped before the
-    next.  Per coset, m = 2 takes the stabilizer-only sum at an adjusted
-    representative and every other m the defining H-sum.  Rows are emitted
-    in double-coset order.  Tables are deterministic; seed is accepted for
-    compatibility and affects nothing.
+    next.  Per coset, m = 2 gives all-zero rows on a double coset that the
+    walk found not self-inverse, and otherwise takes the stabilizer-only sum
+    at an adjusted representative; every other m takes the defining H-sum.
+    Rows are emitted in double-coset order.  Tables are deterministic; seed
+    is accepted for compatibility and affects nothing.
     """
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
@@ -456,12 +460,17 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
         stab, where = classes.pop()
         table = character_table(stab)
         for i in where:
-            g = decomposition.cosets[i].rep
-            if m == 2:
+            dc = decomposition.cosets[i]
+            g = dc.rep
+            if m == 2 and not dc.self_inverse:
+                nus = [0] * len(table.characters)
+            elif m == 2:
                 w = two_power_rep(g, sub)
                 if w is None:
-                    nus = [0] * len(table.characters)
-                elif w._img in members:
+                    raise ArithmeticError(
+                        f"self-inverse double coset of {g.to_text()} has no "
+                        "element squaring into the subgroup")
+                if w._img in members:
                     nus = [_as_int(nu_classical(chi), "classical nu_2")
                            for chi in table.characters]
                 else:

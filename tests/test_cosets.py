@@ -107,9 +107,12 @@ def test_double_cosets_match_brute_partition():
         assert len(dec) == len(blocks)
         assert sorted(dc.size for dc in dec) == sorted(len(b) for b in blocks)
         assert sum(dc.size for dc in dec) == group.order()
+        by_rep = {min(b): b for b in blocks}
         for dc in dec:
             assert dc.size == dc.n_left * sub.order()
             assert len(dc.left_indices) == dc.n_left
+            assert dc.self_inverse == (dc.rep.inverse()._img
+                                       in by_rep[dc.rep._img])
         assert_orbit_stabilizers(dec)
 
 
@@ -209,6 +212,13 @@ def test_null_coset_examples():
     assert is_null_coset(P("(4,5,6)", 6), 3)
     assert not is_null_coset(P("(4,5)", 6), 3)
     assert not is_null_coset(P("(1,2,3)", 6), 3)
+
+
+def test_self_inverse_cosets_are_the_non_null_ones():
+    for n in range(2, 8):
+        for l in range(1, n):
+            for dc in double_cosets(sym(n), sym_embed(l, n)):
+                assert dc.self_inverse == (not is_null_coset(dc.rep, l))
 
 
 def test_canonical_form_relabels_by_first_appearance():

@@ -5,6 +5,8 @@ import gc
 import json
 import weakref
 
+from collections import Counter
+
 import pytest
 
 from fscat import chartab, indicators
@@ -28,6 +30,7 @@ from fscat.indicators import (
 from fscat.perm import (
     Permutation,
     alt,
+    alt_embed,
     conjugate,
     cyclic,
     sym,
@@ -117,6 +120,48 @@ def test_two_power_rep_shapes():
     # a null coset admits no square root of the subgroup at all
     assert two_power_rep(P("(1,2,4,5)", 6), sub) is None
     assert two_power_rep(P("(4,5,6)", 6), sub) is None
+
+
+PAIR_CASES = {
+    "S8-C8": lambda: (sym(8), cyclic(8)),
+    "S8-Sym4": lambda: (sym(8), sym_embed(4, 8)),
+    "S7-tildeS5": lambda: (sym(7), tilde_sym(5, degree=7)),
+    "S6-A6": lambda: (sym(6), alt(6)),
+    "A7-Alt4": lambda: (alt(7), alt_embed(4, 7)),
+    "S6-Sym3": lambda: (sym(6), sym_embed(3, 6)),
+}
+
+
+@pytest.mark.parametrize("case", ["S8-C8", "S8-Sym4", "S7-tildeS5", "S6-A6",
+                                  "A7-Alt4"])
+def test_self_inverse_cosets_have_a_two_power_rep(case):
+    group, sub = PAIR_CASES[case]()
+    for dc in double_cosets(group, sub):
+        assert dc.self_inverse == (two_power_rep(dc.rep, sub) is not None)
+
+
+def test_scan_rejects_a_self_inverse_coset_without_a_square_root(monkeypatch):
+    monkeypatch.setattr(indicators, "two_power_rep", lambda g, sub: None)
+    with pytest.raises(ArithmeticError):
+        category_scan(sym(6), sym_embed(3, 6))
+
+
+@pytest.mark.parametrize("case", ["S6-Sym3", "S8-C8", "S7-tildeS5", "S6-A6",
+                                  "A7-Alt4"])
+def test_scan_satisfies_the_global_identities(case):
+    # column orthogonality over G: with dim = [H:S(g)] * chi(1), the
+    # dimensions square-sum to |G|, and sum dim * nu_m counts the y in G
+    # with y^m = e
+    group, sub = PAIR_CASES[case]()
+    orders = Counter(Permutation._from_raw(y).order
+                     for y in group.element_tuples())
+    for m in (2, 3, 4):
+        report = category_scan(group, sub, m)
+        dims = [sub.order() // e.stab_order * e.chi_degree
+                for e in report.entries]
+        assert sum(d * d for d in dims) == group.order()
+        roots = sum(k for o, k in orders.items() if m % o == 0)
+        assert sum(d * e.nu for d, e in zip(dims, report.entries)) == roots
 
 
 def test_overgroup_construction_and_guards():
@@ -226,16 +271,10 @@ def test_scan_report_serialization():
     assert again.to_csv() == report.to_csv()
 
 
-SHARING_CASES = {
-    "S6-Sym3": lambda: (sym(6), sym_embed(3, 6)),
-    "S7-tildeS5": lambda: (sym(7), tilde_sym(5, degree=7)),
-}
-
-
 @pytest.mark.parametrize("case, m", [("S6-Sym3", 2), ("S6-Sym3", 3),
                                      ("S7-tildeS5", 2)])
 def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
-    group, sub = SHARING_CASES[case]()
+    group, sub = PAIR_CASES[case]()
     expected = []
     distinct = set()
     for dc in double_cosets(group, sub):
