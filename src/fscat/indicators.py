@@ -50,14 +50,20 @@ from .perm import PermGroup, Permutation, _conj, _identity, _inv, _mul, conjugat
 
 
 def _raw_pow(x: tuple[int, ...], m: int) -> tuple[int, ...]:
-    acc = _identity(len(x))
-    b = x
-    e = m
-    while e:
-        if e & 1:
-            acc = _mul(acc, b)
-        b = _mul(b, b)
-        e >>= 1
+    # binary powering from the lowest set bit of m, with no square after the
+    # highest: x^4 takes two products
+    if m == 0:
+        return _identity(len(x))
+    while not m & 1:
+        x = _mul(x, x)
+        m >>= 1
+    acc = x
+    m >>= 1
+    while m:
+        x = _mul(x, x)
+        if m & 1:
+            acc = _mul(acc, x)
+        m >>= 1
     return acc
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import weakref
 
 from collections import Counter
@@ -120,6 +121,19 @@ def test_two_power_rep_shapes():
     # a null coset admits no square root of the subgroup at all
     assert two_power_rep(P("(1,2,4,5)", 6), sub) is None
     assert two_power_rep(P("(4,5,6)", 6), sub) is None
+
+
+def test_raw_pow_matches_repeated_products():
+    rng = random.Random(8)
+    for degree in (1, 3, 7, 11):
+        for _ in range(5):
+            images = list(range(degree))
+            rng.shuffle(images)
+            x = tuple(images)
+            power = tuple(range(degree))
+            for m in range(13):
+                assert indicators._raw_pow(x, m) == power
+                power = tuple(x[i] for i in power)
 
 
 PAIR_CASES = {
