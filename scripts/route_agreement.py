@@ -41,7 +41,7 @@ def main(argv=None) -> int:
         w = two_power_rep(dc.rep, sub)
         if w is None or w._img in members:
             continue
-        stab = stabilizer(dc.rep, sub).group
+        stab = stabilizer(dc.rep, sub)
         for chi in character_table(stab).characters:
             base = nu_m(w, chi, sub, 2)
             routes = (nu2_stab(w, chi, sub), nu2_squares(w, chi, sub),

@@ -18,7 +18,6 @@ from .config import RunConfig, load_config
 from .cosets import (
     DoubleCoset,
     DoubleCosetDecomposition,
-    Stabilizer,
     canonical_normal_form,
     double_cosets,
     is_null_coset,
@@ -71,7 +70,7 @@ __all__ = [
     "Cyclotomic", "DoubleCoset", "DoubleCosetDecomposition", "GroupSpec",
     "IndexTwoOvergroup", "IndicatorEntry", "IndicatorReport",
     "InvarianceCheck", "PermGroup", "Permutation", "ReductionCheck",
-    "RunConfig", "Stabilizer", "VerificationReport", "alt", "alt_embed",
+    "RunConfig", "VerificationReport", "alt", "alt_embed",
     "canonical_normal_form", "category_scan", "character_table",
     "claim_ids", "conjugacy_classes", "conjugate", "cyclic",
     "double_cosets", "index_two_overgroup", "induce", "inner_product",

@@ -151,7 +151,7 @@ def _check_ex_nu_p():
     if vanishing_witness(g, sub, 7):
         return ("fail", "a seventh power of the coset lands back in the "
                 "subgroup, so the vanishing argument breaks")
-    stab = stabilizer(g, sub).group
+    stab = stabilizer(g, sub)
     values = [nu_m(g, chi, sub, 7) for chi in character_table(stab).characters]
     if any(values):
         return ("fail", f"nonzero degree-7 indicator found: {values}")
@@ -172,7 +172,7 @@ def _check_ex_minus_one():
         if u in sub:
             return ("fail", f"conjugate {u.to_text()} unexpectedly lies in "
                     "the cyclic subgroup")
-    stab = stabilizer(g, sub).group
+    stab = stabilizer(g, sub)
     if stab.order() != 2:
         return ("fail", f"stabilizer has order {stab.order()}, not 2")
     values = sorted(nu_m(g, chi, sub, 2)
@@ -332,15 +332,26 @@ _FULL_EXTRA = [
 ]
 
 
+_EXTENDED_EXTRA = [
+    ("thm-tilde", {"n": 11}),
+    ("thm-tilde-plus1", {"n": 11}),
+]
+
+_PROFILES = {
+    "quick": _QUICK,
+    "full": _QUICK + _FULL_EXTRA,
+    "extended": _QUICK + _FULL_EXTRA + _EXTENDED_EXTRA,
+}
+
+
 def run_all(profile: str = "quick") -> list[VerificationReport]:
     """Run the registry over a fixed parameter schedule.
 
-    quick stays at degree <= 7; full adds the degree 8..12 instances.
+    quick stays at degree <= 7; full adds the degree 8..12 instances;
+    extended adds the degree-11 tilde scans to full.
     """
-    if profile == "quick":
-        schedule = list(_QUICK)
-    elif profile == "full":
-        schedule = list(_QUICK) + list(_FULL_EXTRA)
-    else:
-        raise ValueError(f"unknown profile: {profile!r}")
+    try:
+        schedule = _PROFILES[profile]
+    except KeyError:
+        raise ValueError(f"unknown profile: {profile!r}") from None
     return [verify(claim, **params) for claim, params in schedule]

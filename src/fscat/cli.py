@@ -215,7 +215,7 @@ def _example_minus_one() -> tuple[int, str]:
                conjugate(g, t ** 4)]
     for u in outside:
         lines.append(f"conjugate {u.to_text()} lies in H: {u in sub}")
-    stab = stabilizer(g, sub).group
+    stab = stabilizer(g, sub)
     lines.append(f"stabilizer of the coset: order {stab.order()}, "
                  "generated by g^2")
     saw_minus_one = False
@@ -234,7 +234,7 @@ def _example_nu_p() -> tuple[int, str]:
     sub = sym_embed(5, 7)
     g = Permutation.from_text("(5,6)", 7)
     witness = vanishing_witness(g, sub, 7)
-    stab = stabilizer(g, sub).group
+    stab = stabilizer(g, sub)
     values = [nu_m(g, chi, sub, 7)
               for chi in character_table(stab).characters]
     lines = ["coset of g = (5,6) in sym:7 over H = sym-embed:5,7, m = 7",
@@ -306,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("verify-all",
                             help="run a whole verification profile")
-    p.add_argument("--profile", default="quick", choices=("quick", "full"))
+    p.add_argument("--profile", default="quick",
+                   choices=("quick", "full", "extended"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
 

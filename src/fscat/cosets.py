@@ -10,7 +10,7 @@ order |H| / |orbit| (orbit-stabilizer theorem), and the Schreier generators
 of the walk's closing edges generate it (Schreier's lemma; Seress,
 Permutation Group Algorithms, ch. 4).  So each double coset carries
 generators of S(rep) without a pass over H.  stabilizer() filters H instead,
-for a single coset of any element.
+for a single coset of any element, and returns the group.
 
 The same walk decides whether a double coset is self-inverse, that is whether
 rep^-1 lies in H*rep*H: exactly when the canonical left coset of rep^-1 is in
@@ -19,6 +19,17 @@ some element of rep*H squares into H.  If rep^-1 = h1*rep*h2, then
 (rep*h1)^2 = h2^-1*h1 lies in H; conversely, if (rep*x)^2 = h lies in H, then
 rep^-1 = x*rep*(x*h^-1).  So on a double coset that is not self-inverse every
 degree-2 indicator vanishes.
+
+Double cosets repeat along the letters sub fixes.  Any k normalizing sub
+maps H*g*H to H*kgk^-1*H, and S(kgk^-1) = k*S(g)*k^-1, since
+H & kgk^-1*H*kg^-1k^-1 = k*(H & gHg^-1)*k^-1.  The indicators move along:
+substituting x -> k*x*k^-1 in the defining sum gives
+nu_m(kgk^-1, chi) = nu_m(g, chi o (z -> k*z*k^-1)).  Every permutation of
+the letters sub fixes centralizes sub, so U = Sym(Fix sub) & group supplies
+such k for free.  double_cosets walks and sifts only one root per orbit of U
+on the double cosets; each other coset of the orbit is walked without
+sifting and records its k (DoubleCoset.root, DoubleCoset.conj), from which
+indicators.category_scan moves the root's rows.
 
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
@@ -70,24 +81,29 @@ def left_coset_reps(group: PermGroup, sub: PermGroup,
 class DoubleCoset:
     """One double coset sub*rep*sub with its size data.
 
-    left_indices point into the sorted left-coset representative list (and so
-    also into the right transversal made of their inverses).
     stab_gens generate the stabilizer S(rep) = sub & rep*sub*rep^-1, as raw
     0-based image tuples; they are Schreier generators recorded by the orbit
-    walk that found the double coset.
+    walk that found the double coset, or conjugates of a root's.
     self_inverse tells whether rep^-1 lies in sub*rep*sub, that is whether
     the left coset rep^-1*sub was reached by the same walk.  It holds exactly
     when some element of rep*sub squares into sub: if rep^-1 = h1*rep*h2
     then (rep*h1)^2 = h2^-1*h1, and if (rep*x)^2 = h then
     rep^-1 = x*rep*(x*h^-1).
+    root is the position, in the sorted list of double cosets, of the root
+    of this coset's orbit under the free letters, and conj is a raw k
+    normalizing sub with rep*sub = k*root*k^-1*sub.  Then
+    S(rep) = k*S(root)*k^-1, and every indicator of rep is an indicator of
+    the root, moved along conjugation by k.  A root has root equal to its own
+    position and conj the identity.
     """
 
     rep: Permutation
     n_left: int
     size: int
-    left_indices: tuple[int, ...]
     stab_gens: tuple[tuple[int, ...], ...]
     self_inverse: bool
+    root: int
+    conj: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -104,34 +120,44 @@ class DoubleCosetDecomposition:
         return iter(self.cosets)
 
 
-def _coset_orbit(start: tuple[int, ...], sub: PermGroup
+def _coset_walk(start: tuple[int, ...], sub: PermGroup, gens, closing=None
+                ) -> tuple[list[tuple[int, ...]], dict]:
+    """The canonical left cosets in the sub-orbit of start*sub, with a
+    Schreier transversal: trans[c] in sub carries start*sub to c*sub.
+
+    When closing is a list, every edge c -> s*c that reaches a coset already
+    seen is appended to it as (s, trans[c], s*c).
+    """
+    trans = {start: _identity(len(start))}
+    orbit = [start]
+    for c in orbit:
+        t_c = trans[c]
+        for s in gens:
+            nxt = sub.coset_min(_mul(s, c))
+            if nxt not in trans:
+                trans[nxt] = _mul(s, t_c)
+                orbit.append(nxt)
+            elif closing is not None:
+                closing.append((s, t_c, nxt))
+    return orbit, trans
+
+
+def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
                  ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...],
                             bool]:
     """The canonical left cosets in the sub-orbit of start*sub, raw
     generators of their stabilizer S(start), and whether start^-1*sub lies in
     that orbit (DoubleCoset.self_inverse).
 
-    The walk keeps a Schreier transversal: trans[c] in sub carries start*sub
-    to c*sub.  An edge c -> s*c that reaches a coset already seen gives the
+    An edge c -> s*c of the walk that reaches a coset already seen gives the
     Schreier generator trans[s*c]^-1 * s * trans[c], which fixes start*sub;
     together these generate S(start).  Once the orbit is closed,
     |S(start)| = |sub| / |orbit|, so they are sifted into a growing group only
     until it reaches that order.
     """
-    gens = [g._img for g in sub.generators]
+    closing: list = []
+    orbit, trans = _coset_walk(start, sub, gens, closing)
     idt = _identity(len(start))
-    trans = {start: idt}
-    orbit = [start]
-    closing = []
-    for c in orbit:
-        t_c = trans[c]
-        for s in gens:
-            nxt = sub.coset_min(_mul(s, c))
-            if nxt in trans:
-                closing.append((s, t_c, nxt))
-            else:
-                trans[nxt] = _mul(s, t_c)
-                orbit.append(nxt)
     target = sub.order() // len(orbit)
     found: list[tuple[int, ...]] = []
     grown = PermGroup(len(start), [])
@@ -148,48 +174,95 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup
     return orbit, tuple(found), sub.coset_min(_inv(start)) in trans
 
 
+def _free_letter_gens(group: PermGroup, sub: PermGroup
+                      ) -> list[tuple[int, ...]]:
+    """Raw generators of U = Sym(Fix sub) & group, where Fix sub is the set
+    of letters sub fixes: those of Sym(Fix sub) when all lie in group, else
+    the 3-cycles of Alt(Fix sub) when those do, else none (U is taken to be
+    trivial).  Every element of U centralizes sub.
+    """
+    n = sub.degree
+    fixed = [p + 1 for p in range(n)
+             if all(g._img[p] == p for g in sub.generators)]
+    if len(fixed) < 2:
+        return []
+    sym_gens = [Permutation.from_cycles([fixed[:2]], n)]
+    if len(fixed) > 2:
+        sym_gens.append(Permutation.from_cycles([fixed], n))
+    alt_gens = [Permutation.from_cycles([fixed[:2] + [p]], n)
+                for p in fixed[2:]]
+    for gens in (sym_gens, alt_gens):
+        if gens and all(group.member(u) for u in gens):
+            return [u._img for u in gens]
+    return []
+
+
 def double_cosets(group: PermGroup, sub: PermGroup,
                   limit: int | None = None) -> DoubleCosetDecomposition:
-    """Double cosets of sub in group, sorted by canonical representative."""
+    """Double cosets of sub in group, sorted by canonical representative.
+
+    The least left coset not yet visited starts a root: its orbit walk sifts
+    generators of S(root) and decides self_inverse.  The root's images under
+    the free-letter generators u (and their images in turn) are folded: an
+    image u*src*u^-1 whose left coset is unvisited is walked without sifting,
+    and its data are the root's, conjugated by k = t*u*k_src with t from that
+    walk's transversal.
+    """
     reps = left_coset_reps(group, sub, limit)
     pos = {p._img: i for i, p in enumerate(reps)}
     h_order = sub.order()
+    gens = [g._img for g in sub.generators]
+    free = [(u, _inv(u)) for u in _free_letter_gens(group, sub)]
+    idt = _identity(group.degree)
     visited = bytearray(len(reps))
-    out = []
+    # left position of the rep -> (n_left, stab_gens, self_inverse,
+    # left position of the root, conj)
+    found: dict[int, tuple] = {}
     for i, start_p in enumerate(reps):
         if visited[i]:
             continue
-        orbit, stab_gens, self_inverse = _coset_orbit(start_p._img, sub)
-        left_indices = tuple(sorted(pos[c] for c in orbit))
-        for j in left_indices:
-            visited[j] = 1
-        out.append(DoubleCoset(rep=start_p, n_left=len(orbit),
-                               size=len(orbit) * h_order,
-                               left_indices=left_indices, stab_gens=stab_gens,
-                               self_inverse=self_inverse))
+        root = start_p._img
+        orbit, stab_gens, self_inverse = _coset_orbit(root, sub, gens)
+        for c in orbit:
+            visited[pos[c]] = 1
+        found[i] = (len(orbit), stab_gens, self_inverse, i, idt)
+        queue = [(root, idt)]
+        for src, k_src in queue:
+            for u, u_inv in free:
+                image = sub.coset_min(_mul(_mul(u, src), u_inv))
+                if visited[pos[image]]:
+                    continue
+                folded, trans = _coset_walk(image, sub, gens)
+                rep = min(folded)
+                k = _mul(trans[rep], _mul(u, k_src))
+                k_inv = _inv(k)
+                moved = tuple(_mul(_mul(k, x), k_inv) for x in stab_gens)
+                assert len(folded) == len(orbit)
+                assert all(sub.coset_min(_mul(x, rep)) == rep for x in moved)
+                for c in folded:
+                    visited[pos[c]] = 1
+                found[pos[rep]] = (len(folded), moved, self_inverse, i, k)
+                queue.append((rep, k))
+    where = {p: j for j, p in enumerate(sorted(found))}
+    out = tuple(DoubleCoset(rep=reps[p], n_left=n_left, size=n_left * h_order,
+                            stab_gens=stab_gens, self_inverse=self_inverse,
+                            root=where[root], conj=k)
+                for p, (n_left, stab_gens, self_inverse, root, k)
+                in sorted(found.items()))
     assert sum(dc.size for dc in out) == group.order()
     return DoubleCosetDecomposition(group=group, sub=sub,
-                                    left_reps=tuple(reps), cosets=tuple(out))
+                                    left_reps=tuple(reps), cosets=out)
 
 
-@dataclass(frozen=True)
-class Stabilizer:
-    """S(g): the elements of the ambient subgroup fixing the coset g*ambient."""
-
-    g: Permutation
-    group: PermGroup
-    ambient: PermGroup
-
-
-def stabilizer(g: Permutation, sub: PermGroup) -> Stabilizer:
-    """The subgroup of elements x of sub with g^-1 x g again in sub."""
+def stabilizer(g: Permutation, sub: PermGroup) -> PermGroup:
+    """S(g): the subgroup of elements x of sub with g^-1 x g again in sub,
+    that is the elements of sub fixing the left coset g*sub."""
     if g.degree != sub.degree:
         raise ValueError("degree mismatch")
     members = sub.element_set()
     g_raw, gi = g._img, _inv(g._img)
     kept = [x for x in sub.element_tuples() if _mul(_mul(gi, x), g_raw) in members]
-    return Stabilizer(g=g, group=PermGroup._from_element_tuples(sub.degree, kept),
-                      ambient=sub)
+    return PermGroup._from_element_tuples(sub.degree, kept)
 
 
 # -- rewriting for a symmetric subgroup on the letters 1..l -----------------

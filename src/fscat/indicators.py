@@ -24,13 +24,16 @@ coset that is not self-inverse (DoubleCoset.self_inverse) has no element
 squaring into H, so all its indicators are zero without a sum.  Otherwise
 the scan uses the stabilizer sum at an adjusted representative, or the
 classical indicator when that representative lies in H.  For m != 2 it uses
-the defining sum.
+the defining sum.  Only one coset per orbit under the letters H fixes is
+computed (see cosets); the others move its rows along conjugation, and a
+check of two global identities at the end sees every row.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,8 +296,8 @@ def invariance_check(u: Permutation, g: Permutation, sub: PermGroup,
         if _conj(u._img, s._img) != s._img:
             raise ValueError("u must centralize the subgroup")
     moved = conjugate(u, g)
-    s_g = stabilizer(g, sub).group
-    s_moved = stabilizer(moved, sub).group
+    s_g = stabilizer(g, sub)
+    s_moved = stabilizer(moved, sub)
     same = s_g.element_set() == s_moved.element_set()
     table = character_table(s_g)
     base = tuple(nu_m(g, chi, sub, m) for chi in table.characters)
@@ -302,7 +305,7 @@ def invariance_check(u: Permutation, g: Permutation, sub: PermGroup,
     product: bool | None = None
     if (u * g == g * u) and (u ** m).is_identity():
         shifted = u * g
-        s_shifted = stabilizer(shifted, sub).group
+        s_shifted = stabilizer(shifted, sub)
         same = same and s_g.element_set() == s_shifted.element_set()
         at_shifted = tuple(nu_m(shifted, chi, sub, m)
                            for chi in table.characters)
@@ -341,7 +344,7 @@ def reduction_check(t: Permutation, f: Permutation, sub: PermGroup,
         y = _mul(_mul(t_raw, x), t_inv)
         if y not in members and over.member(Permutation._from_raw(y)):
             raise ValueError("conjugation by t pushes part of H into over - H")
-    reduced = stabilizer(t, sub).group
+    reduced = stabilizer(t, sub)
     for s in reduced.generators:
         if _conj(t._img, s._img) != s._img:
             raise ValueError("the stabilizer of tH must centralize t")
@@ -351,8 +354,8 @@ def reduction_check(t: Permutation, f: Permutation, sub: PermGroup,
         raise ValueError("f^2 must lie in the subgroup")
     if f * t != t * f:
         raise ValueError("f must commute with t")
-    s_big = stabilizer(t * f, sub).group
-    s_small = stabilizer(f, reduced).group
+    s_big = stabilizer(t * f, sub)
+    s_small = stabilizer(f, reduced)
     same = s_big.element_set() == s_small.element_set()
     table = character_table(s_big)
     big_vals = tuple(nu_m(t * f, chi, sub, 2) for chi in table.characters)
@@ -439,6 +442,80 @@ def _stabilizer_classes(decomposition: DoubleCosetDecomposition
     return classes
 
 
+def _power_roots(group: PermGroup, m: int) -> int | None:
+    """#{y in group : y^m = e} when group is the symmetric or alternating
+    group of its degree (recognised by its order), counted from cycle types;
+    None for any other group.
+
+    even[k] and odd[k] count the even and odd permutations of k letters with
+    y^m = e; the cycle through the first letter has some length d dividing m,
+    in (k-1)!/(k-d)! ways, and parity d - 1.
+    """
+    n = group.degree
+    full = math.factorial(n)
+    if group.order() not in (full, full // 2):
+        return None
+    even, odd = [1], [0]
+    for k in range(1, n + 1):
+        e = o = 0
+        for d in range(1, k + 1):
+            if m % d:
+                continue
+            ways = math.perm(k - 1, d - 1)
+            if d % 2:
+                e, o = e + ways * even[k - d], o + ways * odd[k - d]
+            else:
+                e, o = e + ways * odd[k - d], o + ways * even[k - d]
+        even.append(e)
+        odd.append(o)
+    return even[n] + (odd[n] if group.order() == full else 0)
+
+
+def _check_global_identities(group: PermGroup, sub: PermGroup, m: int,
+                             entries) -> None:
+    """Column orthogonality over G, with dim = [H:S(g)] * chi(1): the
+    dimensions square-sum to |G|, and sum dim * nu_m counts the y in G with
+    y^m = e.  The second sum is checked only when G is a symmetric or
+    alternating group, whose count comes from cycle types."""
+    h_order = sub.order()
+    dims = [h_order // e.stab_order * e.chi_degree for e in entries]
+    if sum(d * d for d in dims) != group.order():
+        raise ArithmeticError(
+            "the squared dimensions do not sum to the group order")
+    roots = _power_roots(group, m)
+    total = sum(d * e.nu for d, e in zip(dims, entries))
+    if roots is not None and total != roots:
+        raise ArithmeticError(
+            f"sum of dim * nu_{m} is {total}, but {roots} elements of the "
+            f"group have y^{m} = e")
+
+
+def _transported(source, conj: tuple[int, ...], cd: ClassData,
+                 characters, what: str) -> list[int]:
+    """Indicators at a coset whose rows follow from those of a coset j of
+    the same orbit under the free letters.
+
+    source holds j's conj k_j, the raw class representatives of S(rep_j) and
+    j's indicators keyed by character values.  With c = conj * k_j^-1,
+    rep*H = c*rep_j*c^-1*H and S(rep) = c*S(rep_j)*c^-1, so
+    nu(rep, chi) = nu(rep_j, psi) with psi = chi o (z -> c*z*c^-1).
+    """
+    k_src, reps, by_values = source
+    c = _mul(conj, _inv(k_src))
+    c_inv = _inv(c)
+    cols = [cd._index.get(_mul(_mul(c, z), c_inv)) for z in reps]
+    if None in cols:
+        raise ArithmeticError(f"{what}: conjugation misses the stabilizer")
+    out = []
+    for chi in characters:
+        value = by_values.get(tuple(chi.values[a] for a in cols))
+        if value is None:
+            raise ArithmeticError(
+                f"{what}: a conjugated character is not in the source table")
+        out.append(value)
+    return out
+
+
 def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                   group_label: str | None = None,
                   sub_label: str | None = None,
@@ -449,10 +526,19 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     stabilizer is enumerated, and its classes and character table built,
     once for all the double cosets that share it, and dropped before the
     next.  Per coset, m = 2 gives all-zero rows on a double coset that the
-    walk found not self-inverse, and otherwise takes the stabilizer-only sum
-    at an adjusted representative; every other m takes the defining H-sum.
-    Rows are emitted in double-coset order.  Tables are deterministic; seed
-    is accepted for compatibility and affects nothing.
+    walk found not self-inverse.  Otherwise the first coset the scan reaches
+    of each orbit under the free letters (DoubleCoset.root) computes its
+    rows: m = 2 takes the stabilizer-only sum at an adjusted representative,
+    every other m the defining H-sum.  The other cosets of that orbit move
+    those rows along conjugation (DoubleCoset.conj), and the moved data are
+    dropped once the orbit's last coset is done.  Rows are emitted in
+    double-coset order, each in its own table's order.
+
+    At the end the global identities are checked: the squared dimensions
+    [H:S(g)] * chi(1) sum to |G|, and, when G is a symmetric or alternating
+    group, sum dim * nu_m equals #{y in G : y^m = e}.  For any other G only
+    the first is checked.  A failure raises ArithmeticError.  Tables are
+    deterministic; seed is accepted for compatibility and affects nothing.
     """
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
@@ -462,14 +548,23 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     decomposition = double_cosets(group, sub)
     rows: list[list[IndicatorEntry]] = [[] for _ in decomposition.cosets]
     classes = _stabilizer_classes(decomposition)
+    # cosets not yet done per orbit, and the rows of the first one done of
+    # each orbit that has more
+    remaining = Counter(dc.root for dc in decomposition.cosets)
+    sources: dict[int, tuple] = {}
     while classes:
         stab, where = classes.pop()
         table = character_table(stab)
         for i in where:
             dc = decomposition.cosets[i]
             g = dc.rep
+            source = sources.get(dc.root)
             if m == 2 and not dc.self_inverse:
                 nus = [0] * len(table.characters)
+            elif source is not None:
+                nus = _transported(source, dc.conj, conjugacy_classes(stab),
+                                   table.characters,
+                                   f"nu_{m} at {g.to_text()}")
             elif m == 2:
                 w = two_power_rep(g, sub)
                 if w is None:
@@ -493,6 +588,14 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                 nus = _census_indicators(counts, table.characters,
                                          stab.order(),
                                          f"nu_{m} at {g.to_text()}", conj=True)
+            remaining[dc.root] -= 1
+            if not remaining[dc.root]:
+                sources.pop(dc.root, None)
+            elif source is None and (m != 2 or dc.self_inverse):
+                sources[dc.root] = (
+                    dc.conj, [z._img for z in conjugacy_classes(stab).reps],
+                    {chi.values: value
+                     for chi, value in zip(table.characters, nus)})
             rows[i] = [IndicatorEntry(rep=g, stab_order=stab.order(),
                                       chi_degree=chi.degree, nu=value)
                        for chi, value in zip(table.characters, nus)]
@@ -502,6 +605,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
         stab._class_data = stab._char_table = None
         del stab, table
     entries = [entry for row in rows for entry in row]
+    _check_global_identities(group, sub, m, entries)
     return IndicatorReport(
         group_label=group_label or _gens_label(group),
         sub_label=sub_label or _gens_label(sub),

@@ -188,3 +188,22 @@ def test_nonpositive_m_is_rejected(capsys):
     assert main(["indicators", "--G", "sym:4", "--H", "alt:4",
                  "--m", "0"]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+def test_extended_profile_adds_the_degree_eleven_tilde_scans(monkeypatch,
+                                                             capsys):
+    # the schedule only: every check is answered by a stub
+    from fscat import catalog
+
+    def named(claim, **params):
+        return catalog.VerificationReport(claim=claim, params=params,
+                                          status="pass", detail="",
+                                          runtime=0.0)
+
+    monkeypatch.setattr(catalog, "verify", named)
+    full = [(r.claim, r.params) for r in catalog.run_all("full")]
+    extended = [(r.claim, r.params) for r in catalog.run_all("extended")]
+    assert extended == full + [("thm-tilde", {"n": 11}),
+                               ("thm-tilde-plus1", {"n": 11})]
+    assert main(["verify-all", "--profile", "extended", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == len(extended)

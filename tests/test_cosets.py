@@ -1,6 +1,8 @@
 """Coset decompositions, stabilizers, and the double coset census."""
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,7 +112,7 @@ def test_double_cosets_match_brute_partition():
         by_rep = {min(b): b for b in blocks}
         for dc in dec:
             assert dc.size == dc.n_left * sub.order()
-            assert len(dc.left_indices) == dc.n_left
+            assert len(by_rep[dc.rep._img]) == dc.n_left * sub.order()
             assert dc.self_inverse == (dc.rep.inverse()._img
                                        in by_rep[dc.rep._img])
         assert_orbit_stabilizers(dec)
@@ -123,7 +125,7 @@ def assert_orbit_stabilizers(dec):
         grp = PermGroup(sub.degree,
                         [Permutation._from_raw(x) for x in dc.stab_gens])
         assert grp.order() == sub.order() // dc.n_left
-        assert grp.element_set() == stabilizer(dc.rep, sub).group.element_set()
+        assert grp.element_set() == stabilizer(dc.rep, sub).element_set()
 
 
 def test_orbit_stabilizers_beyond_initial_symmetric_subgroups():
@@ -133,6 +135,104 @@ def test_orbit_stabilizers_beyond_initial_symmetric_subgroups():
     for group, sub in [(sym(7), tilde_sym(7)), (alt(7), alt_embed(4, 7)),
                        (sym(6), alt(6)), (sym(7), tilde_sym(5, degree=7))]:
         assert_orbit_stabilizers(double_cosets(group, sub))
+
+
+# builder, (double cosets, fold roots)
+FOLD_CASES = {
+    "S8-Sym4": (lambda: (sym(8), sym_embed(4, 8)), (209, 20)),
+    "S10-Sym7": (lambda: (sym(10), sym_embed(7, 10)), (34, 10)),
+    "A7-Alt4": (lambda: (alt(7), alt_embed(4, 7)), (35, 15)),
+    "S7-tildeS5": (lambda: (sym(7), tilde_sym(5, degree=7)), (160, 90)),
+    "S6-Sym2..5": (lambda: (sym(6), PermGroup(6, [P("(2,3)", 6),
+                                                   P("(2,3,4,5)", 6)])),
+                   (7, 5)),
+}
+
+
+def free_letter_group(group, sub):
+    """All of U = Sym(Fix sub) & group, as raw tuples, by brute force."""
+    n = sub.degree
+    fixed = [p for p in range(n)
+             if all(x[p] == p for x in sub.element_tuples())]
+    out = []
+    for images in permutations(fixed):
+        img = list(range(n))
+        for a, b in zip(fixed, images):
+            img[a] = b
+        if group.member(Permutation._from_raw(tuple(img))):
+            out.append(tuple(img))
+    return out
+
+
+def brute_fold_orbits(dec):
+    """The orbits of the double cosets under conjugation by all of U, as
+    sets of positions; each left coset is placed in its double coset by a
+    search over H's generators from the double coset's representative."""
+    sub = dec.sub
+    block_of = {}
+    for i, dc in enumerate(dec):
+        queue = [dc.rep]
+        block_of[dc.rep._img] = i
+        for y in queue:
+            for s in sub.generators:
+                c = Permutation._from_raw(sub.coset_min((s * y)._img))
+                if c._img not in block_of:
+                    block_of[c._img] = i
+                    queue.append(c)
+    assert len(block_of) == len(dec.left_reps)
+    parent = list(range(len(dec)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for u in free_letter_group(dec.group, sub):
+        u_p = Permutation._from_raw(u)
+        for i, dc in enumerate(dec):
+            moved = (u_p * dc.rep * u_p.inverse())._img
+            parent[find(i)] = find(block_of[sub.coset_min(moved)])
+    orbits = {}
+    for i in range(len(dec)):
+        orbits.setdefault(find(i), set()).add(i)
+    return sorted(map(frozenset, orbits.values()), key=min)
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_fold_roots_are_the_orbits_under_the_free_letters(case):
+    build, counts = FOLD_CASES[case]
+    dec = double_cosets(*build())
+    sub = dec.sub
+    by_root = {}
+    for i, dc in enumerate(dec):
+        by_root.setdefault(dc.root, set()).add(i)
+    assert (len(dec), len(by_root)) == counts
+    assert all(dec.cosets[r].root == r for r in by_root)
+    assert sorted(map(frozenset, by_root.values()), key=min) == \
+        brute_fold_orbits(dec)
+    for dc in dec:
+        # rep*H = k*root*k^-1*H, with k normalizing H
+        k = Permutation._from_raw(dc.conj)
+        root = dec.cosets[dc.root]
+        assert sub.coset_min((k * root.rep * k.inverse())._img) == dc.rep._img
+        assert all(sub.member(k * s * k.inverse()) for s in sub.generators)
+        assert dc.n_left == root.n_left
+        assert dc.self_inverse == root.self_inverse
+    assert_orbit_stabilizers(dec)
+
+
+@pytest.mark.parametrize("group, sub", [
+    (sym(8), cyclic(8)),                   # no letter fixed
+    (sym(7), tilde_sym(7)),
+    (sym(6), alt(6)),
+    (sym(9), tilde_sym(8, degree=9)),      # one letter fixed
+    (alt(7), tilde_sym(5, degree=7)),      # (6,7) is odd, Alt{6,7} trivial
+])
+def test_trivial_free_letter_group_folds_nothing(group, sub):
+    idt = tuple(range(group.degree))
+    for i, dc in enumerate(double_cosets(group, sub)):
+        assert dc.root == i
+        assert dc.conj == idt
 
 
 def test_double_coset_reps_are_minimal_and_sorted():
@@ -146,9 +246,14 @@ def test_double_coset_reps_are_minimal_and_sorted():
 
 
 def test_transversal_indices_partition_the_transversal():
+    # every left coset lies in exactly one double coset, and each double
+    # coset holds n_left of them
     dec = double_cosets(sym(5), sym_embed(2, 5))
-    flat = [i for dc in dec for i in dc.left_indices]
-    assert sorted(flat) == list(range(len(dec.left_reps)))
+    blocks = {min(b): b for b in brute_double_cosets(dec.group, dec.sub)}
+    for dc in dec:
+        inside = [r for r in dec.left_reps if r._img in blocks[dc.rep._img]]
+        assert len(inside) == dc.n_left
+    assert sum(dc.n_left for dc in dec) == len(dec.left_reps)
 
 
 def test_stabilizer_against_brute_filter():
@@ -156,21 +261,18 @@ def test_stabilizer_against_brute_filter():
     members = sub.element_set()
     for text in ["(1,4)", "(4,5)", "(1,4)(2,5)", "(1,4,2,5)"]:
         g = P(text, 6)
-        st_obj = stabilizer(g, sub)
         brute = {x for x in sub.element_tuples()
                  if (g.inverse() * Permutation._from_raw(x) * g)._img in members}
-        assert st_obj.group.element_set() == brute
-        assert st_obj.ambient is sub
-        assert st_obj.g == g
+        assert stabilizer(g, sub).element_set() == brute
 
 
 def test_stabilizer_examples():
     # swapping one guarded letter into the subgroup's support leaves the
     # point stabilizer; a deeper shuffle can cut the group to triviality
-    assert stabilizer(P("(3,4)", 5), sym_embed(3, 5)).group.order() == 2
-    assert stabilizer(P("(1,2)", 5), sym_embed(3, 5)).group.order() == 6
-    assert stabilizer(P("(1,4,2,5)", 5), sym_embed(2, 5)).group.order() == 1
-    assert stabilizer(P("(1,2)", 4), alt(4)).group.order() == 12
+    assert stabilizer(P("(3,4)", 5), sym_embed(3, 5)).order() == 2
+    assert stabilizer(P("(1,2)", 5), sym_embed(3, 5)).order() == 6
+    assert stabilizer(P("(1,4,2,5)", 5), sym_embed(2, 5)).order() == 1
+    assert stabilizer(P("(1,2)", 4), alt(4)).order() == 12
 
 
 def test_stabilizer_conjugation_witness():
@@ -178,8 +280,8 @@ def test_stabilizer_conjugation_witness():
     sub = sym_embed(3, 6)
     g = P("(1,4,2,5)", 6)
     a, b = P("(1,3)", 6), P("(1,2,3)", 6)
-    lhs = stabilizer(a * g * b, sub).group.element_set()
-    base = stabilizer(g, sub).group
+    lhs = stabilizer(a * g * b, sub).element_set()
+    base = stabilizer(g, sub)
     rhs = {(b.inverse() * Permutation._from_raw(x) * b)._img
            for x in base.element_tuples()}
     assert lhs == rhs

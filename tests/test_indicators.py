@@ -5,12 +5,16 @@ import gc
 import json
 import random
 import weakref
+from types import SimpleNamespace
 
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fscat import chartab, indicators
+from fscat.cli import parse_group_spec
 from fscat.chartab import character_table, nu_classical
 from fscat.cosets import is_null_coset, double_cosets, stabilizer
 from fscat.indicators import (
@@ -29,6 +33,7 @@ from fscat.indicators import (
     vanishing_witness,
 )
 from fscat.perm import (
+    PermGroup,
     Permutation,
     alt,
     alt_embed,
@@ -59,7 +64,7 @@ def test_negative_indicator_over_a_twelve_cycle():
     for u, text in outside:
         assert u == P(text)
         assert u not in H
-    S = stabilizer(g, H).group
+    S = stabilizer(g, H)
     assert S.order() == 2
     assert S.element_set() == {P("()", 12)._img, (t ** 6)._img}
     table = character_table(S)
@@ -74,7 +79,7 @@ def test_degree_seven_indicators_vanish_for_outer_transposition():
     H = sym_embed(5, 7)
     g = P("(5,6)", 7)
     assert not vanishing_witness(g, H, 7)
-    S = stabilizer(g, H).group
+    S = stabilizer(g, H)
     assert S.order() == 24
     table = character_table(S)
     assert all(nu_m(g, chi, H, 7) == 0 for chi in table.characters)
@@ -88,7 +93,7 @@ def test_all_degree_two_routes_agree():
             w = two_power_rep(dc.rep, sub)
             if w is None or w._img in members:
                 continue
-            S = stabilizer(dc.rep, sub).group
+            S = stabilizer(dc.rep, sub)
             for chi in character_table(S).characters:
                 a = nu_m(w, chi, sub, 2)
                 assert a == nu2_stab(w, chi, sub)
@@ -103,9 +108,9 @@ def test_indicator_does_not_depend_on_the_representative():
     a, b = P("(1,2,3)", 6), P("(2,3)", 6)
     moved = a * g * b
     row = sorted((chi.degree, nu_m(g, chi, sub, 2))
-                 for chi in character_table(stabilizer(g, sub).group).characters)
+                 for chi in character_table(stabilizer(g, sub)).characters)
     row2 = sorted((chi.degree, nu_m(moved, chi, sub, 2))
-                  for chi in character_table(stabilizer(moved, sub).group).characters)
+                  for chi in character_table(stabilizer(moved, sub)).characters)
     assert row == row2
 
 
@@ -143,6 +148,9 @@ PAIR_CASES = {
     "S6-A6": lambda: (sym(6), alt(6)),
     "A7-Alt4": lambda: (alt(7), alt_embed(4, 7)),
     "S6-Sym3": lambda: (sym(6), sym_embed(3, 6)),
+    # fixes 1 and 6, so cosets of one fold orbit have different stabilizers
+    "S6-Sym2..5": lambda: (sym(6), PermGroup(6, [P("(2,3)", 6),
+                                                  P("(2,3,4,5)", 6)])),
 }
 
 
@@ -181,7 +189,7 @@ def test_scan_satisfies_the_global_identities(case):
 def test_overgroup_construction_and_guards():
     H = cyclic(12)
     g = P("(1,2,7,8)(3,11,9,5)(4,12,10,6)")
-    S = stabilizer(g, H).group
+    S = stabilizer(g, H)
     hat = index_two_overgroup(g, S)
     assert isinstance(hat, IndexTwoOvergroup)
     assert hat.group.order() == 2 * S.order()
@@ -197,7 +205,7 @@ def test_weighted_sum_counts_involutions_in_the_coset():
     for group, sub, text in [(sym(6), sym_embed(3, 6), "(1,4)(2,5)"),
                              (sym(6), alt(6), "(1,2)")]:
         w = two_power_rep(P(text, 6), sub)
-        S = stabilizer(w, sub).group
+        S = stabilizer(w, sub)
         table = character_table(S)
         lhs = sum(chi.degree * nu_m(w, chi, sub, 2) for chi in table.characters)
         rhs = sum(1 for x in S.element_tuples()
@@ -285,18 +293,30 @@ def test_scan_report_serialization():
     assert again.to_csv() == report.to_csv()
 
 
-@pytest.mark.parametrize("case, m", [("S6-Sym3", 2), ("S6-Sym3", 3),
-                                     ("S7-tildeS5", 2)])
-def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
-    group, sub = PAIR_CASES[case]()
-    expected = []
-    distinct = set()
+def defining_sum_rows(group, sub, m):
+    """(rep, |S|, chi(1), nu_m) per simple object, from the filtered
+    stabilizer, its table and the defining sum at every double coset."""
+    rows = []
     for dc in double_cosets(group, sub):
-        stab = stabilizer(dc.rep, sub).group
-        distinct.add(stab.element_set())
+        stab = stabilizer(dc.rep, sub)
         for chi in character_table(stab).characters:
-            expected.append((dc.rep, stab.order(), chi.degree,
-                             nu_m(dc.rep, chi, sub, m)))
+            rows.append((dc.rep, stab.order(), chi.degree,
+                         nu_m(dc.rep, chi, sub, m)))
+    return rows
+
+
+@pytest.mark.parametrize("case, m", [
+    ("S6-Sym3", 2), ("S6-Sym3", 3), ("S7-tildeS5", 2), ("S7-tildeS5", 4),
+    ("S8-Sym4", 2), ("S8-Sym4", 4), ("A7-Alt4", 2), ("A7-Alt4", 4),
+    ("S6-Sym2..5", 2), ("S6-Sym2..5", 3)])
+def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
+    # every row equals the defining sum over the filtered stabilizer's
+    # table, whether computed or moved along the fold; one table is built
+    # per distinct stabilizer
+    group, sub = PAIR_CASES[case]()
+    expected = defining_sum_rows(group, sub, m)
+    distinct = {stabilizer(dc.rep, sub).element_set()
+                for dc in double_cosets(group, sub)}
     built = []
     dixon = chartab._dixon
 
@@ -304,11 +324,97 @@ def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
         built.append(grp.order())
         return dixon(grp)
 
+    moved = []
+    transported = indicators._transported
+
+    def counting_transport(*args):
+        moved.append(args)
+        return transported(*args)
+
     monkeypatch.setattr(chartab, "_dixon", counting_dixon)
+    monkeypatch.setattr(indicators, "_transported", counting_transport)
     report = category_scan(group, sub, m)
     assert [(e.rep, e.stab_order, e.chi_degree, e.nu)
             for e in report.entries] == expected
     assert len(built) == len(distinct)
+    # every case fixes two or more letters, so some rows are moved
+    assert moved
+
+
+def test_scan_rejects_a_wrong_transported_row(monkeypatch):
+    # the closing identity sum dim * nu_m = #{y : y^m = e} sees every moved
+    # row: zeroing them breaks it
+    monkeypatch.setattr(indicators, "_transported",
+                        lambda source, conj, cd, chars, what: [0] * len(chars))
+    with pytest.raises(ArithmeticError):
+        category_scan(sym(6), sym_embed(3, 6), 3)
+
+
+def test_scan_rejects_a_missing_character(monkeypatch):
+    # a table short of one character breaks sum dim^2 = |G|, which is
+    # checked for any G (here S_5 acting on 6 letters)
+    table_of = indicators.character_table
+
+    def short_table(grp, *args, **kwargs):
+        table = table_of(grp, *args, **kwargs)
+        return SimpleNamespace(characters=table.characters[:-1])
+
+    group, sub = sym_embed(5, 6), sym_embed(3, 6)
+    assert indicators._power_roots(group, 2) is None
+    category_scan(group, sub, 2)
+    monkeypatch.setattr(indicators, "character_table", short_table)
+    with pytest.raises(ArithmeticError):
+        category_scan(group, sub, 2)
+
+
+@st.composite
+def gens_pairs(draw):
+    """(G, H, m): G from gens: with one to three random generators of
+    degree at most 6, H generated by words in G's generators."""
+    degree = draw(st.integers(2, 6))
+    perm = st.permutations(range(1, degree + 1))
+    g_imgs = draw(st.lists(perm, min_size=1, max_size=3))
+    g_perms = [Permutation(p) for p in g_imgs]
+    words = draw(st.lists(st.lists(st.integers(0, len(g_perms) - 1),
+                                   min_size=1, max_size=4), max_size=2))
+    h_perms = []
+    for word in words:
+        x = Permutation.identity(degree)
+        for letter in word:
+            x = x * g_perms[letter]
+        h_perms.append(x)
+
+    def spec(perms):
+        body = ";".join(p.to_text() for p in perms) or "()"
+        return parse_group_spec(f"gens:{body}@{degree}").build()
+
+    return spec(g_perms), spec(h_perms), draw(st.integers(2, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens_pairs())
+def test_scan_matches_the_defining_sum_on_random_pairs(pair):
+    group, sub, m = pair
+    report = category_scan(group, sub, m)
+    assert [(e.rep, e.stab_order, e.chi_degree, e.nu)
+            for e in report.entries] == defining_sum_rows(group, sub, m)
+    dims = [sub.order() // e.stab_order * e.chi_degree
+            for e in report.entries]
+    assert sum(d * d for d in dims) == group.order()
+    roots = sum(1 for y in group.element_tuples()
+                if indicators._raw_pow(y, m) == tuple(range(group.degree)))
+    assert sum(d * e.nu for d, e in zip(dims, report.entries)) == roots
+
+
+def test_power_roots_count_from_cycle_types():
+    for n in range(1, 8):
+        for group in (sym(n), alt(n)) if n > 1 else (sym(1),):
+            orders = Counter(Permutation._from_raw(y).order
+                             for y in group.element_tuples())
+            for m in range(1, 8):
+                roots = sum(k for o, k in orders.items() if m % o == 0)
+                assert indicators._power_roots(group, m) == roots
+    assert indicators._power_roots(cyclic(5), 5) is None
 
 
 def test_scan_frees_each_stabilizer_without_the_collector(monkeypatch):
