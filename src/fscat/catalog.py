@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .chartab import character_table, conjugacy_classes, induce, nu_classical
 from .cosets import is_null_coset, normal_form_census, stabilizer, sym_census
-from .indicators import category_scan, nu_m, nu_twisted, vanishing_witness
+from .indicators import (_census_indicators, _twisted_counts, category_scan,
+                         nu_m, vanishing_witness)
 from .perm import (
     BoundExceeded,
     Permutation,
@@ -225,13 +226,19 @@ def _check_lemma_twisted_an(n: int):
     over = sym(n)
     odd_involutions = [rep for rep in conjugacy_classes(over).reps
                        if rep.sign == -1 and (rep * rep).is_identity()]
-    table = character_table(alt(n))
+    group = alt(n)
+    table = character_table(group)
+    # one census per involution serves every character
+    twisted = [_census_indicators(_twisted_counts(conjugacy_classes(group), u),
+                                  table.characters, group.order(),
+                                  f"twisted indicator by {u.to_text()}")
+               for u in odd_involutions]
     checked = 0
-    for chi in table.characters:
+    for j, chi in enumerate(table.characters):
         lifted = nu_classical(induce(chi, over)) - nu_classical(chi)
         expected = lifted.as_rational_integer()
-        for u in odd_involutions:
-            value = nu_twisted(chi, u)
+        for u, values in zip(odd_involutions, twisted):
+            value = values[j]
             if value not in (0, 1):
                 return ("fail", f"twist by {u.to_text()} gives {value} on a "
                         f"degree-{chi.degree} character")

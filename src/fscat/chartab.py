@@ -179,12 +179,17 @@ def inner_product(a: Character, b: Character) -> Cyclotomic:
 
 
 def induce(chi: Character, overgroup: PermGroup) -> Character:
-    """Induce along an index-2 inclusion; zero outside the subgroup."""
+    """Induce along an index-2 inclusion; zero outside the subgroup.
+
+    A subgroup of index 2 is normal, so any g outside it gives
+    Ind chi(y) = chi(y) + chi(g^-1 y g) on y inside and 0 outside; g is the
+    first generator of the overgroup outside the subgroup.
+    """
     sub = chi.classes.group
     if overgroup.order() != 2 * sub.order() or not sub.is_subgroup_of(overgroup):
         raise ValueError("induction needs the subgroup at index 2 in the overgroup")
     inside = sub.element_set()
-    g_raw = min(t for t in overgroup.element_tuples() if t not in inside)
+    g_raw = next(t._img for t in overgroup.generators if t._img not in inside)
     gi = Permutation._from_raw(_inv(g_raw))
     g = Permutation._from_raw(g_raw)
     big_cd = conjugacy_classes(overgroup)

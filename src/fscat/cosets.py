@@ -34,7 +34,11 @@ indicators.category_scan moves the root's rows.
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
 holds two moved letters of the subgroup, which decides whether the double
-coset supports any nonzero degree-2 indicator.
+coset supports any nonzero degree-2 indicator.  Each step splits one cycle,
+and steps on different cycles commute, so the cycles can be rewritten one
+by one.  The form is in fact the only element of its left coset with no two
+such letters in a cycle, so it does not depend on the order of the steps;
+_raw_normal_form builds it in one pass over the raw image tuple.
 """
 from __future__ import annotations
 
@@ -268,30 +272,45 @@ def stabilizer(g: Permutation, sub: PermGroup) -> PermGroup:
 # -- rewriting for a symmetric subgroup on the letters 1..l -----------------
 
 
+def _raw_normal_form(img: tuple[int, ...], l: int) -> tuple[int, ...]:
+    """The normal form of a raw permutation g under Sym{1..l}: the one
+    element g*h, h in Sym{1..l}, none of whose cycles holds two letters
+    below l (0-based, the small letters).
+
+    h fixes the other letters, so a small letter s is followed in g*h by the
+    run g(t), g^2(t), ... from t = h(s) up to the first small letter in it,
+    head(t).  The cycle of s holds no other small letter exactly when
+    head(h(s)) = s.  So h is the inverse of head, the first-return map of g
+    to the small letters, and the form sends head(t) to g(t).
+    """
+    form = list(img)
+    for t in range(l):
+        j = img[t]
+        while j >= l:
+            j = img[j]
+        form[j] = img[t]
+    return tuple(form)
+
+
 def normal_form_with_multiplier(sigma: Permutation, l: int) -> tuple[Permutation, Permutation]:
     """Rewrite sigma by right factors from Sym{1..l} until no cycle holds two
     letters from 1..l; returns (form, h) with form == sigma * h.
 
     Each step multiplies by the transposition of the two least cohabiting
-    letters, which splits their cycle; the number of cohabiting pairs drops,
-    so the loop ends.
+    letters of one cycle, which splits that cycle in two; the number of
+    cohabiting pairs drops, so the rewriting ends.  Transpositions on
+    different cycles commute, and the splits of one cycle depend only on
+    that cycle, so the cycles can be rewritten one by one.  More is true:
+    sigma*Sym{1..l} holds exactly one element with no two letters of 1..l in
+    a cycle, so every order of splits, and any choice of cohabiting pair,
+    ends at the same form, which _raw_normal_form reads off in one pass.
+    h = sigma^-1 * form.
     """
     if not 1 <= l <= sigma.degree:
         raise ValueError("l out of range")
-    g = sigma
-    h = Permutation.identity(sigma.degree)
-    while True:
-        pair = None
-        for cyc in g.cycles():
-            small = sorted(p for p in cyc if p <= l)
-            if len(small) >= 2:
-                pair = (small[0], small[1])
-                break
-        if pair is None:
-            return g, h
-        t = Permutation.from_cycles([pair], sigma.degree)
-        g = g * t
-        h = h * t
+    form = _raw_normal_form(sigma._img, l)
+    return (Permutation._from_raw(form),
+            Permutation._from_raw(_mul(_inv(sigma._img), form)))
 
 
 def sym_normal_form(sigma: Permutation, l: int) -> Permutation:
@@ -304,8 +323,8 @@ def is_null_coset(sigma: Permutation, l: int) -> bool:
     A double coset is null when its normal form is not an involution; on such
     cosets every degree-2 indicator vanishes.
     """
-    form = normal_form_with_multiplier(sigma, l)[0]
-    return not (form * form).is_identity()
+    f = normal_form_with_multiplier(sigma, l)[0]._img
+    return any(f[f[i]] != i for i in range(len(f)))
 
 
 def sym_census(l: int, n: int) -> tuple[int, int]:
@@ -323,34 +342,40 @@ def canonical_normal_form(sigma: Permutation, l: int) -> Permutation:
     1, 2, ... in reading order, unused ones filling the remaining slots in
     increasing order.  The renaming acts by conjugation, so the result stays
     inside the double coset of sigma.
+
+    Each nontrivial cycle of the normal form holds at most one small letter
+    and some letter above l.  Walking the cycles from the letters above l in
+    increasing order meets each cycle first at the letter it is rotated to
+    start at, so the small letters come up in reading order; the ones never
+    met are fixed.
     """
-    form = normal_form_with_multiplier(sigma, l)[0]
-    rotated = []
-    for cyc in form.cycles():
-        anchor = min(p for p in cyc if p > l)
-        i = cyc.index(anchor)
-        rotated.append(cyc[i:] + cyc[:i])
-    rotated.sort(key=lambda c: c[0])
-    rename: dict[int, int] = {}
-    for cyc in rotated:
-        for p in cyc:
-            if p <= l and p not in rename:
-                rename[p] = len(rename) + 1
-    for p in range(1, l + 1):
-        if p not in rename:
-            rename[p] = len(rename) + 1
-    images = [rename.get(p, p) for p in range(1, sigma.degree + 1)]
-    h = Permutation(images)
-    return h * form * h.inverse()
+    if not 1 <= l <= sigma.degree:
+        raise ValueError("l out of range")
+    f = _raw_normal_form(sigma._img, l)
+    n = len(f)
+    seen = [False] * n
+    order = []
+    for q in range(l, n):
+        j = q
+        while not seen[j]:
+            seen[j] = True
+            if j < l:
+                order.append(j)
+            j = f[j]
+    order += [p for p in range(l) if not seen[p]]
+    rename = list(range(n))
+    for new, p in enumerate(order):
+        rename[p] = new
+    out = [0] * n
+    for p in range(n):
+        out[rename[p]] = rename[f[p]]
+    return Permutation._from_raw(tuple(out))
 
 
 def normal_form_census(l: int, n: int) -> tuple[int, int]:
     """Census of Sym{1..l} double cosets in Sym{1..n} by distinct canonical
     normal forms over the whole group; an independent route to sym_census."""
-    group = sym(n)
-    forms: set[tuple[int, ...]] = set()
-    for raw in group.element_tuples():
-        forms.add(canonical_normal_form(Permutation._from_raw(raw), l)._img)
-    null = sum(1 for f in forms
-               if not (Permutation._from_raw(f) ** 2).is_identity())
+    forms = {canonical_normal_form(Permutation._from_raw(raw), l)._img
+             for raw in sym(n).element_tuples()}
+    null = sum(1 for f in forms if any(f[f[i]] != i for i in range(n)))
     return len(forms), null

@@ -70,6 +70,12 @@ def _raw_pow(x: tuple[int, ...], m: int) -> tuple[int, ...]:
     return acc
 
 
+def _check_m(m: int) -> None:
+    # _raw_pow never ends for a negative m
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+
+
 def _as_int(value: Cyclotomic, what: str) -> int:
     out = value.as_rational_integer()
     if out is None:
@@ -125,6 +131,7 @@ def nu_m(g: Permutation, chi: Character, sub: PermGroup, m: int = 2) -> int:
     chi must be a character of the stabilizer S(g) (any group object carrying
     the same elements works).  The sum runs over all of H.
     """
+    _check_m(m)
     cd = chi.classes
     counts = _coset_power_counts(g, sub, cd, m)
     return _census_indicators(counts, [chi], cd.group.order(),
@@ -137,6 +144,7 @@ def vanishing_witness(g: Permutation, sub: PermGroup, m: int) -> bool:
     When no such witness exists every degree-m indicator on the double coset
     of g vanishes, and the expensive sums can be skipped.
     """
+    _check_m(m)
     members = sub.element_set()
     g_raw = g._img
     return any(_raw_pow(_mul(g_raw, x), m) in members
@@ -253,14 +261,12 @@ def nu2_extension(g: Permutation, chi: Character, sub: PermGroup) -> int:
     return _as_int(total, f"nu_2 of {g.to_text()}")
 
 
-def nu_twisted(chi: Character, u: Permutation) -> int:
-    """Indicator of chi twisted by conjugation with u.
+def _twisted_counts(cd: ClassData, u: Permutation) -> list[int]:
+    """Class census of x * u x u^-1 for x over the group behind cd.
 
-    u must normalize the group of chi with u^2 acting trivially on it; the sum
-    averages chi(x * u x u^-1).  With u centralizing the group this is the
-    classical degree-2 indicator.
+    u must normalize that group with u^2 centralizing it.  One census serves
+    every character of the group (nu_twisted, catalog's lemma-twisted-An).
     """
-    cd = chi.classes
     members = cd.group.element_set()
     u_raw = u._img
     uu = _mul(u_raw, u_raw)
@@ -270,10 +276,22 @@ def nu_twisted(chi: Character, u: Permutation) -> int:
         if _conj(uu, s._img) != s._img:
             raise ValueError("u^2 must centralize the group of chi")
     u_inv = _inv(u_raw)
+    index = cd._index
     counts = [0] * len(cd)
     for x in cd.group.element_tuples():
-        counts[cd._index[_mul(x, _mul(_mul(u_raw, x), u_inv))]] += 1
-    return _census_indicators(counts, [chi], cd.group.order(),
+        counts[index[_mul(x, _mul(_mul(u_raw, x), u_inv))]] += 1
+    return counts
+
+
+def nu_twisted(chi: Character, u: Permutation) -> int:
+    """Indicator of chi twisted by conjugation with u.
+
+    u must normalize the group of chi with u^2 acting trivially on it; the sum
+    averages chi(x * u x u^-1).  With u centralizing the group this is the
+    classical degree-2 indicator.
+    """
+    cd = chi.classes
+    return _census_indicators(_twisted_counts(cd, u), [chi], cd.group.order(),
                               f"twisted indicator by {u.to_text()}")[0]
 
 
@@ -539,7 +557,9 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     group, sum dim * nu_m equals #{y in G : y^m = e}.  For any other G only
     the first is checked.  A failure raises ArithmeticError.  Tables are
     deterministic; seed is accepted for compatibility and affects nothing.
+    m must be a positive integer.
     """
+    _check_m(m)
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
     # Enumerate H before the coset walk, so an oversized H trips the

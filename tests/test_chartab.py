@@ -166,6 +166,57 @@ def test_induction_from_a3_gives_two_dimensional_character():
     assert ind == std
 
 
+def induced_by_definition(sub, big):
+    """Ind chi(y) = (1/|S|) sum over x in big with x^-1 y x in S of
+    chi(x^-1 y x), for every character chi of S, as a class census of the
+    conjugates x^-1 y x per class representative y of big."""
+    cd = conjugacy_classes(sub)
+    pairs = [(x, _inv(x)) for x in big.element_tuples()]
+    censuses = []
+    for y in conjugacy_classes(big).reps:
+        counts = [0] * len(cd)
+        for x, x_inv in pairs:
+            j = cd._index.get(_mul(_mul(x_inv, y._img), x))
+            if j is not None:
+                counts[j] += 1
+        censuses.append(counts)
+    out = []
+    for chi in character_table(sub).characters:
+        vals = []
+        for counts in censuses:
+            total = ZERO
+            for c, v in zip(counts, chi.values):
+                if c:
+                    total = total + v.scaled(c)
+            vals.append(total.scaled(Fraction(1, sub.order())))
+        out.append(Character(conjugacy_classes(big), vals))
+    return out
+
+
+def _twisted_overgroup():
+    # S(g) of order 12 for g = (1,3)(2,4) over tilde S7; the first three
+    # generators of S + gS lie in S
+    from fscat.cosets import stabilizer
+    from fscat.indicators import index_two_overgroup
+    from fscat.perm import tilde_sym
+    g = P("(1,3)(2,4)", 7)
+    stab = stabilizer(g, tilde_sym(7))
+    return stab, index_two_overgroup(g, stab).group
+
+
+@pytest.mark.parametrize("case", ["A4", "A5", "A6", "overgroup"])
+def test_induce_matches_the_defining_sum(case):
+    if case == "overgroup":
+        sub, big = _twisted_overgroup()
+        assert sub.member(big.generators[0])
+    else:
+        n = int(case[1:])
+        sub, big = alt(n), sym(n)
+    want = induced_by_definition(sub, big)
+    got = [induce(chi, big) for chi in character_table(sub).characters]
+    assert got == want
+
+
 def test_induce_rejects_larger_index():
     chi = character_table(alt(3)).characters[0]
     with pytest.raises(ValueError):

@@ -298,6 +298,63 @@ def test_normal_form_tracks_its_multiplier():
             assert sum(1 for p in cyc if p <= l) <= 1
 
 
+def rewriting_oracle(sigma, l):
+    """The rewriting loop on Permutation objects: split the first cycle, in
+    cycles() order, that holds two letters from 1..l at its two least ones."""
+    g = sigma
+    h = Permutation.identity(sigma.degree)
+    while True:
+        pair = None
+        for cyc in g.cycles():
+            small = sorted(p for p in cyc if p <= l)
+            if len(small) >= 2:
+                pair = (small[0], small[1])
+                break
+        if pair is None:
+            return g, h
+        t = Permutation.from_cycles([pair], sigma.degree)
+        g = g * t
+        h = h * t
+
+
+def canonical_oracle(form, l):
+    """Rotate, sort and rename the cycles of a normal form as documented."""
+    rotated = []
+    for cyc in form.cycles():
+        anchor = min(p for p in cyc if p > l)
+        i = cyc.index(anchor)
+        rotated.append(cyc[i:] + cyc[:i])
+    rotated.sort(key=lambda c: c[0])
+    rename: dict[int, int] = {}
+    for cyc in rotated:
+        for p in cyc:
+            if p <= l and p not in rename:
+                rename[p] = len(rename) + 1
+    for p in range(1, l + 1):
+        if p not in rename:
+            rename[p] = len(rename) + 1
+    h = Permutation([rename.get(p, p) for p in range(1, form.degree + 1)])
+    return h * form * h.inverse()
+
+
+@pytest.mark.parametrize("n, ls", [(6, range(1, 7)), (7, (3, 4, 5))])
+def test_per_cycle_kernel_matches_the_rewriting_loop(n, ls):
+    for l in ls:
+        for raw in sym(n).element_tuples():
+            sigma = Permutation._from_raw(raw)
+            form, h = rewriting_oracle(sigma, l)
+            assert normal_form_with_multiplier(sigma, l) == (form, h)
+            assert canonical_normal_form(sigma, l) == canonical_oracle(form, l)
+
+
+def test_normal_form_rejects_l_out_of_range():
+    for l in (0, 7):
+        with pytest.raises(ValueError):
+            normal_form_with_multiplier(P("(1,2)", 6), l)
+        with pytest.raises(ValueError):
+            canonical_normal_form(P("(1,2)", 6), l)
+
+
 def test_normal_form_examples():
     assert sym_normal_form(P("(1,4,2,5)", 5), 3) == P("(1,5)(2,4)", 5)
     assert sym_normal_form(P("(1,2,3)", 5), 3).is_identity()
@@ -365,8 +422,9 @@ def test_census_stability_for_large_subgroup():
 
 
 def test_normal_form_census_agrees_with_orbit_route():
-    assert normal_form_census(3, 6) == sym_census(3, 6)
-    assert normal_form_census(2, 5) == sym_census(2, 5)
+    for n in range(2, 8):
+        for l in range(1, n):
+            assert normal_form_census(l, n) == sym_census(l, n)
     assert normal_form_census(4, 8) == sym_census(4, 8)
 
 

@@ -240,8 +240,38 @@ def test_twisted_weighted_sum_counts_twisted_involutions():
 
 def test_twisted_indicator_guards():
     table = character_table(sym_embed(3, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normalize"):
         nu_twisted(table.characters[0], P("(3,4)", 5))
+    with pytest.raises(ValueError, match="centralize"):
+        nu_twisted(table.characters[0], P("(1,2,3)", 5))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_one_twisted_census_serves_every_character(n):
+    group = alt(n)
+    table = character_table(group)
+    cd = chartab.conjugacy_classes(group)
+    odd_involutions = [u for u in chartab.conjugacy_classes(sym(n)).reps
+                       if u.sign == -1 and (u * u).is_identity()]
+    assert len(odd_involutions) == (n + 2) // 4
+    for u in odd_involutions:
+        shared = indicators._census_indicators(
+            indicators._twisted_counts(cd, u), table.characters,
+            group.order(), "twisted")
+        assert shared == [nu_twisted(chi, u) for chi in table.characters]
+
+
+def test_m_below_one_is_rejected():
+    sub = sym_embed(2, 4)
+    g = P("(2,3)", 4)
+    chi = character_table(stabilizer(g, sub)).characters[0]
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            category_scan(sym(4), sub, m)
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            nu_m(g, chi, sub, m)
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            vanishing_witness(g, sub, m)
 
 
 def test_scan_of_small_symmetric_pair():
