@@ -14,8 +14,11 @@ from fscat.chartab import (
     is_ambivalent,
     nu_classical,
 )
+from fscat.cosets import stabilizer
 from fscat.cyclo import ZERO, Cyclotomic
-from fscat.perm import Permutation, PermGroup, _inv, _mul, alt, cyclic, sym, trivial
+from fscat.indicators import index_two_overgroup
+from fscat.perm import (Permutation, PermGroup, _inv, _mul, alt, cyclic, sym,
+                        tilde_sym, trivial)
 
 P = Permutation.from_text
 q = Cyclotomic.from_rational
@@ -193,12 +196,9 @@ def induced_by_definition(sub, big):
     return out
 
 
-def _twisted_overgroup():
+def stabilizer_overgroup():
     # S(g) of order 12 for g = (1,3)(2,4) over tilde S7; the first three
     # generators of S + gS lie in S
-    from fscat.cosets import stabilizer
-    from fscat.indicators import index_two_overgroup
-    from fscat.perm import tilde_sym
     g = P("(1,3)(2,4)", 7)
     stab = stabilizer(g, tilde_sym(7))
     return stab, index_two_overgroup(g, stab).group
@@ -207,7 +207,7 @@ def _twisted_overgroup():
 @pytest.mark.parametrize("case", ["A4", "A5", "A6", "overgroup"])
 def test_induce_matches_the_defining_sum(case):
     if case == "overgroup":
-        sub, big = _twisted_overgroup()
+        sub, big = stabilizer_overgroup()
         assert sub.member(big.generators[0])
     else:
         n = int(case[1:])
