@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fscat import config, double_cosets, sym, sym_embed
+from fscat import config, double_cosets, sym, sym_embed, verify
 from fscat.cli import GroupSpec, main, parse_group_spec
 
 
@@ -136,6 +136,58 @@ def test_examples_print_their_facts(capsys):
     assert "g^2 equals t^6: True" in out
     assert main(["example", "--id", "ex-nu-p"]) == 0
     assert "all degree-7 indicators vanish" in capsys.readouterr().out
+
+
+_EXAMPLE_TEXT = {
+    "ex-minus-one": """\
+g = (1,2,7,8)(3,11,9,5)(4,12,10,6)
+H = cyclic:12 generated by the 12-cycle t
+g^2 equals t^6: True
+conjugate (1,5,6,9,10,2,7,11,12,3,4,8) lies in H: False
+conjugate (1,6,10,7,12,4)(2,11,3,8,5,9) lies in H: False
+conjugate (1,9,7,3)(2,12,8,6)(4,5,10,11) lies in H: False
+conjugate (1,10,12)(2,3,5)(4,6,7)(8,9,11) lies in H: False
+stabilizer of the coset: order 2, generated by g^2
+chi with chi(g^2) = -1: nu_2 = -1   <-- indicator -1
+chi with chi(g^2) = 1: nu_2 = 1
+""",
+    "ex-nu-p": """\
+coset of g = (5,6) in sym:7 over H = sym-embed:5,7, m = 7
+some element of gH has its 7th power in H: False
+stabilizer order 24
+nu_7 over the 5 characters: [0, 0, 0, 0, 0]
+all degree-7 indicators vanish
+""",
+}
+
+_EXAMPLE_DETAIL = {
+    "ex-minus-one": "stabilizer {e, g^2} of order 2, all four conjugates "
+                    "outside the subgroup, indicator -1 attained",
+    "ex-nu-p": "no witness and all 5 degree-7 indicators vanish on the coset "
+               "of (5,6); stabilizer order 24",
+}
+
+
+@pytest.mark.parametrize("claim", sorted(_EXAMPLE_TEXT))
+def test_example_text_and_exit_code(claim, capsys):
+    assert main(["example", "--id", claim]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _EXAMPLE_TEXT[claim]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("claim", sorted(_EXAMPLE_DETAIL))
+def test_example_claims_pass_with_their_detail(claim):
+    report = verify(claim)
+    assert report.status == "pass"
+    assert report.detail == _EXAMPLE_DETAIL[claim]
+
+
+def test_example_exits_2_on_a_tripped_bound(capsys):
+    assert main(["--enum-bound", "100", "example", "--id", "ex-nu-p"]) == 2
+    captured = capsys.readouterr()
+    assert "enumeration bound" in captured.err
+    assert captured.out == ""
 
 
 def test_index_bound_flag_shrinks_the_reach(capsys):
