@@ -26,7 +26,6 @@ from .cosets import (
     normal_form_with_multiplier,
     stabilizer,
     sym_census,
-    sym_normal_form,
 )
 from .cyclo import Cyclotomic, root_of_unity
 from .indicators import (
@@ -79,7 +78,6 @@ __all__ = [
     "normal_form_with_multiplier", "nu2_extension", "nu2_induced",
     "nu2_squares", "nu2_stab", "nu_classical", "nu_m", "nu_twisted",
     "parse_group_spec", "reduction_check", "root_of_unity", "run_all",
-    "stabilizer", "sym", "sym_census", "sym_embed", "sym_normal_form",
-    "sym_prime", "tilde_sym", "trivial", "two_power_rep",
-    "vanishing_witness", "verify",
+    "stabilizer", "sym", "sym_census", "sym_embed", "sym_prime",
+    "tilde_sym", "trivial", "two_power_rep", "vanishing_witness", "verify",
 ]

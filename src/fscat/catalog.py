@@ -13,7 +13,8 @@ import time
 from dataclasses import dataclass
 
 from .chartab import character_table, conjugacy_classes, induce, nu_classical
-from .cosets import is_null_coset, normal_form_census, stabilizer, sym_census
+from .cosets import (_coset_index, is_null_coset, normal_form_census,
+                     stabilizer, sym_census)
 from .indicators import (_census_indicators, _twisted_counts, category_scan,
                          nu_m, vanishing_witness)
 from .perm import (
@@ -111,8 +112,11 @@ _STATED_CENSUS = {(3, 6): (34, 20), (4, 8): (197, 154)}
 def _check_census(l: int, n: int):
     if not 1 <= l <= n:
         raise ValueError("need 1 <= l <= n")
-    computed = sym_census(l, n)
+    # the index bound first, as the orbit route alone would report it; then
+    # the relabeling route, so the enumeration bound trips before the walk
+    _coset_index(sym(n), sym_embed(l, n))
     relabeled = normal_form_census(l, n)
+    computed = sym_census(l, n)
     if computed != relabeled:
         return ("fail", f"orbit route {computed} disagrees with the "
                 f"relabeling route {relabeled}")
@@ -146,42 +150,68 @@ def _check_thm_cn(n: int):
     return _scan_in_range(sym(n), cyclic(n), {0, 1})
 
 
-def _check_ex_nu_p():
+def _example_nu_p():
+    """The vanishing degree-7 indicators on the coset of (5,6) over
+    Sym{1..5} in S_7: (status, detail, printable lines)."""
     sub = sym_embed(5, 7)
     g = Permutation.from_text("(5,6)", 7)
-    if vanishing_witness(g, sub, 7):
-        return ("fail", "a seventh power of the coset lands back in the "
-                "subgroup, so the vanishing argument breaks")
+    witness = vanishing_witness(g, sub, 7)
     stab = stabilizer(g, sub)
     values = [nu_m(g, chi, sub, 7) for chi in character_table(stab).characters]
+    lines = ["coset of g = (5,6) in sym:7 over H = sym-embed:5,7, m = 7",
+             f"some element of gH has its 7th power in H: {witness}",
+             f"stabilizer order {stab.order()}",
+             f"nu_7 over the {len(values)} characters: {values}",
+             "unexpected nonzero value" if witness or any(values)
+             else "all degree-7 indicators vanish"]
+    if witness:
+        return ("fail", "a seventh power of the coset lands back in the "
+                "subgroup, so the vanishing argument breaks", lines)
     if any(values):
-        return ("fail", f"nonzero degree-7 indicator found: {values}")
+        return ("fail", f"nonzero degree-7 indicator found: {values}", lines)
     return ("pass", f"no witness and all {len(values)} degree-7 indicators "
-            f"vanish on the coset of (5,6); stabilizer order {stab.order()}")
+            f"vanish on the coset of (5,6); stabilizer order {stab.order()}",
+            lines)
 
 
-def _check_ex_minus_one():
+def _example_minus_one():
+    """The indicator -1 on the double coset of (1,2,7,8)(3,11,9,5)(4,12,10,6)
+    over the 12-cycle: (status, detail, printable lines)."""
     sub = cyclic(12)
     t = Permutation.from_text("(1,2,3,4,5,6,7,8,9,10,11,12)")
     g = Permutation.from_text("(1,2,7,8)(3,11,9,5)(4,12,10,6)")
-    if g * g != t ** 6:
-        return ("fail", "g^2 is not the sixth power of the 12-cycle")
+    squares = g * g == t ** 6
     gi = g.inverse()
     outside = [conjugate(gi, t), conjugate(gi, t ** 2), conjugate(gi, t ** 3),
                conjugate(g, t ** 4)]
-    for u in outside:
-        if u in sub:
-            return ("fail", f"conjugate {u.to_text()} unexpectedly lies in "
-                    "the cyclic subgroup")
+    inside = [u for u in outside if u in sub]
     stab = stabilizer(g, sub)
+    characters = character_table(stab).characters
+    values = [nu_m(g, chi, sub, 2) for chi in characters]
+    lines = [f"g = {g.to_text()}", "H = cyclic:12 generated by the 12-cycle t",
+             f"g^2 equals t^6: {squares}"]
+    lines += [f"conjugate {u.to_text()} lies in H: {u in inside}"
+              for u in outside]
+    lines.append(f"stabilizer of the coset: order {stab.order()}, "
+                 "generated by g^2")
+    lines += [f"chi with chi(g^2) = {chi.values[1]}: nu_2 = {value}"
+              + ("   <-- indicator -1" if value == -1 else "")
+              for chi, value in zip(characters, values)]
+    if not squares:
+        return ("fail", "g^2 is not the sixth power of the 12-cycle", lines)
+    if inside:
+        return ("fail", f"conjugate {inside[0].to_text()} unexpectedly lies "
+                "in the cyclic subgroup", lines)
     if stab.order() != 2:
-        return ("fail", f"stabilizer has order {stab.order()}, not 2")
-    values = sorted(nu_m(g, chi, sub, 2)
-                    for chi in character_table(stab).characters)
-    if values != [-1, 1]:
-        return ("fail", f"indicator pair is {values}, not [-1, 1]")
+        return ("fail", f"stabilizer has order {stab.order()}, not 2", lines)
+    if sorted(values) != [-1, 1]:
+        return ("fail", f"indicator pair is {sorted(values)}, not [-1, 1]",
+                lines)
     return ("pass", "stabilizer {e, g^2} of order 2, all four conjugates "
-            "outside the subgroup, indicator -1 attained")
+            "outside the subgroup, indicator -1 attained", lines)
+
+
+_EXAMPLES = {"ex-minus-one": _example_minus_one, "ex-nu-p": _example_nu_p}
 
 
 def _check_gap_s8c8():
@@ -256,8 +286,8 @@ _REGISTRY = {
     "thm-An": _check_thm_an,
     "thm-Al": _check_thm_al,
     "thm-Cn": _check_thm_cn,
-    "ex-nu-p": _check_ex_nu_p,
-    "ex-minus-one": _check_ex_minus_one,
+    "ex-nu-p": _example_nu_p,
+    "ex-minus-one": _example_minus_one,
     "gap-s8c8": _check_gap_s8c8,
     "thm-tilde": _check_thm_tilde,
     "thm-tilde-plus1": _check_thm_tilde_plus1,
@@ -273,8 +303,10 @@ def claim_ids() -> tuple[str, ...]:
 def verify(claim: str, **params) -> VerificationReport:
     """Run one registered claim and wrap the outcome with its runtime.
 
-    A BoundExceeded raised inside the check makes the report skipped, with
-    the exception's text as the detail.
+    A check returns (status, detail); a worked example also returns the lines
+    `fscat example` prints, which the report leaves out.  A BoundExceeded
+    raised inside the check makes the report skipped, with the exception's
+    text as the detail.
     """
     try:
         check = _REGISTRY[claim]
@@ -282,7 +314,7 @@ def verify(claim: str, **params) -> VerificationReport:
         raise ValueError(f"unknown claim id: {claim!r}") from None
     start = time.perf_counter()
     try:
-        status, detail = check(**params)
+        status, detail = check(**params)[:2]
     except BoundExceeded as exc:
         status, detail = "skipped", str(exc)
     return VerificationReport(claim=claim, params=dict(params), status=status,

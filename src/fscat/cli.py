@@ -17,18 +17,16 @@ import sys
 from dataclasses import dataclass, field
 
 from . import config
-from .catalog import run_all, verify
-from .chartab import character_table
+from .catalog import _EXAMPLES, run_all, verify
 from .config import RunConfig, load_config
-from .cosets import double_cosets, stabilizer, sym_census
-from .indicators import category_scan, nu_m, vanishing_witness
+from .cosets import double_cosets, sym_census
+from .indicators import category_scan
 from .perm import (
     BoundExceeded,
     Permutation,
     PermGroup,
     alt,
     alt_embed,
-    conjugate,
     cyclic,
     embedded,
     sym,
@@ -204,54 +202,9 @@ def _cmd_verify_all(args, cfg: RunConfig) -> tuple[int, str]:
     return (1 if failed else 0), "\n".join(lines) + "\n"
 
 
-def _example_minus_one() -> tuple[int, str]:
-    sub = cyclic(12)
-    t = Permutation.from_text("(1,2,3,4,5,6,7,8,9,10,11,12)")
-    g = Permutation.from_text("(1,2,7,8)(3,11,9,5)(4,12,10,6)")
-    lines = [f"g = {g.to_text()}", "H = cyclic:12 generated by the 12-cycle t",
-             f"g^2 equals t^6: {g * g == t ** 6}"]
-    gi = g.inverse()
-    outside = [conjugate(gi, t), conjugate(gi, t ** 2), conjugate(gi, t ** 3),
-               conjugate(g, t ** 4)]
-    for u in outside:
-        lines.append(f"conjugate {u.to_text()} lies in H: {u in sub}")
-    stab = stabilizer(g, sub)
-    lines.append(f"stabilizer of the coset: order {stab.order()}, "
-                 "generated by g^2")
-    saw_minus_one = False
-    for chi in character_table(stab).characters:
-        value = nu_m(g, chi, sub, 2)
-        saw_minus_one = saw_minus_one or value == -1
-        note = "   <-- indicator -1" if value == -1 else ""
-        lines.append(f"chi with chi(g^2) = {chi.values[1]}: nu_2 = "
-                     f"{value}{note}")
-    ok = saw_minus_one and stab.order() == 2 and not any(u in sub
-                                                         for u in outside)
-    return (0 if ok else 1), "\n".join(lines) + "\n"
-
-
-def _example_nu_p() -> tuple[int, str]:
-    sub = sym_embed(5, 7)
-    g = Permutation.from_text("(5,6)", 7)
-    witness = vanishing_witness(g, sub, 7)
-    stab = stabilizer(g, sub)
-    values = [nu_m(g, chi, sub, 7)
-              for chi in character_table(stab).characters]
-    lines = ["coset of g = (5,6) in sym:7 over H = sym-embed:5,7, m = 7",
-             f"some element of gH has its 7th power in H: {witness}",
-             f"stabilizer order {stab.order()}",
-             f"nu_7 over the {len(values)} characters: {values}"]
-    ok = not witness and not any(values)
-    lines.append("all degree-7 indicators vanish" if ok
-                 else "unexpected nonzero value")
-    return (0 if ok else 1), "\n".join(lines) + "\n"
-
-
-_EXAMPLES = {"ex-minus-one": _example_minus_one, "ex-nu-p": _example_nu_p}
-
-
 def _cmd_example(args, cfg: RunConfig) -> tuple[int, str]:
-    return _EXAMPLES[args.id]()
+    status, _, lines = _EXAMPLES[args.id]()
+    return (0 if status == "pass" else 1), "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:

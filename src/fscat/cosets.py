@@ -56,14 +56,21 @@ def _check_inclusion(group: PermGroup, sub: PermGroup) -> None:
         raise ValueError("not a subgroup")
 
 
-def left_coset_reps(group: PermGroup, sub: PermGroup,
-                    limit: int | None = None) -> list[Permutation]:
-    """Canonical representatives of the left cosets of sub, sorted."""
+def _coset_index(group: PermGroup, sub: PermGroup,
+                 limit: int | None = None) -> int:
+    """[group : sub], or BoundExceeded when it passes the index bound."""
     _check_inclusion(group, sub)
     limit = config.INDEX_BOUND if limit is None else limit
     index = group.order() // sub.order()
     if index > limit:
         raise BoundExceeded("index bound", limit, index)
+    return index
+
+
+def left_coset_reps(group: PermGroup, sub: PermGroup,
+                    limit: int | None = None) -> list[Permutation]:
+    """Canonical representatives of the left cosets of sub, sorted."""
+    index = _coset_index(group, sub, limit)
     gen_raws = [g._img for g in group.generators]
     start = sub.coset_min(Permutation.identity(group.degree)._img)
     seen = {start}
@@ -114,7 +121,6 @@ class DoubleCoset:
 class DoubleCosetDecomposition:
     group: PermGroup
     sub: PermGroup
-    left_reps: tuple[Permutation, ...]
     cosets: tuple[DoubleCoset, ...]
 
     def __len__(self) -> int:
@@ -254,8 +260,7 @@ def double_cosets(group: PermGroup, sub: PermGroup,
                 for p, (n_left, stab_gens, self_inverse, root, k)
                 in sorted(found.items()))
     assert sum(dc.size for dc in out) == group.order()
-    return DoubleCosetDecomposition(group=group, sub=sub,
-                                    left_reps=tuple(reps), cosets=out)
+    return DoubleCosetDecomposition(group=group, sub=sub, cosets=out)
 
 
 def stabilizer(g: Permutation, sub: PermGroup) -> PermGroup:
@@ -311,10 +316,6 @@ def normal_form_with_multiplier(sigma: Permutation, l: int) -> tuple[Permutation
     form = _raw_normal_form(sigma._img, l)
     return (Permutation._from_raw(form),
             Permutation._from_raw(_mul(_inv(sigma._img), form)))
-
-
-def sym_normal_form(sigma: Permutation, l: int) -> Permutation:
-    return normal_form_with_multiplier(sigma, l)[0]
 
 
 def is_null_coset(sigma: Permutation, l: int) -> bool:

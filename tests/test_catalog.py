@@ -9,6 +9,7 @@ tests below pin the offending objects so a regression in either direction
 
 import pytest
 
+from fscat import cosets
 from fscat.catalog import claim_ids, run_all, verify
 
 
@@ -47,6 +48,30 @@ def test_oversized_instances_come_back_skipped():
     assert "enumeration bound" in report.detail
 
     report = verify("census", l=4, n=10)
+    assert report.status == "skipped"
+    assert "index bound" in report.detail
+
+
+def test_census_skips_on_the_enumeration_bound_before_the_coset_walk(
+        monkeypatch):
+    # the index of Sym{1..5} in S_10 is within the bound, S_10 is not
+    def no_walk(*args):
+        raise AssertionError("the coset walk ran")
+
+    monkeypatch.setattr(cosets, "_coset_orbit", no_walk)
+    report = verify("census", l=5, n=10)
+    assert report.status == "skipped"
+    assert "enumeration bound" in report.detail
+
+
+def test_census_skips_on_the_index_bound_before_the_relabeling_route(
+        monkeypatch):
+    # S_9 is within the enumeration bound, the index of Sym{1} is not
+    def no_forms(*args):
+        raise AssertionError("the relabeling route ran")
+
+    monkeypatch.setattr(cosets, "_raw_normal_form", no_forms)
+    report = verify("census", l=1, n=9)
     assert report.status == "skipped"
     assert "index bound" in report.detail
 

@@ -1,6 +1,8 @@
 """Driver-level checks: spec parsing, exit codes, output formats, bounds."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,20 @@ def test_extended_profile_adds_the_degree_eleven_tilde_scans(monkeypatch,
                                ("thm-tilde-plus1", {"n": 11})]
     assert main(["verify-all", "--profile", "extended", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == len(extended)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each line of the first fenced block under the README's
+    "## Command line" heading, with shell comments stripped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line\n")[1]
+    block = section.split("```\n")[1]
+    return [shlex.split(line, comments=True)
+            for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_lines_run(argv, capsys):
+    assert argv[0] == "fscat"
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out
