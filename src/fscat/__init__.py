@@ -29,7 +29,6 @@ from .cosets import (
 )
 from .cyclo import Cyclotomic, root_of_unity
 from .indicators import (
-    IndexTwoOvergroup,
     IndicatorEntry,
     IndicatorReport,
     InvarianceCheck,
@@ -67,13 +66,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundExceeded", "Character", "CharacterTable", "ClassData",
     "Cyclotomic", "DoubleCoset", "DoubleCosetDecomposition", "GroupSpec",
-    "IndexTwoOvergroup", "IndicatorEntry", "IndicatorReport",
-    "InvarianceCheck", "PermGroup", "Permutation", "ReductionCheck",
-    "RunConfig", "VerificationReport", "alt", "alt_embed",
-    "canonical_normal_form", "category_scan", "character_table",
-    "claim_ids", "conjugacy_classes", "conjugate", "cyclic",
-    "double_cosets", "index_two_overgroup", "induce", "inner_product",
-    "invariance_check", "is_ambivalent", "is_null_coset",
+    "IndicatorEntry", "IndicatorReport", "InvarianceCheck", "PermGroup",
+    "Permutation", "ReductionCheck", "RunConfig", "VerificationReport",
+    "alt", "alt_embed", "canonical_normal_form", "category_scan",
+    "character_table", "claim_ids", "conjugacy_classes", "conjugate",
+    "cyclic", "double_cosets", "index_two_overgroup", "induce",
+    "inner_product", "invariance_check", "is_ambivalent", "is_null_coset",
     "left_coset_reps", "load_config", "main", "normal_form_census",
     "normal_form_with_multiplier", "nu2_extension", "nu2_induced",
     "nu2_squares", "nu2_stab", "nu_classical", "nu_m", "nu_twisted",

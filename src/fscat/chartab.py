@@ -14,10 +14,15 @@ spaces are one-dimensional.  The matrix of class C costs |C| * r products for
 r classes, against |G| * r for all r^3 structure constants, and the split
 often ends after a few small classes (two of the 22 for S_8).  It is
 deterministic.
+
+The map from elements to classes is private to this module.  Other modules
+read it through ClassData: index_of for one raw element, census for the class
+counts of many (every indicator sum reads such a census against a table).
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .config import DEFAULT_SEED
@@ -33,6 +38,9 @@ class ClassData:
 
     Classes are sorted by (size, least image tuple of the class), which puts
     the identity first and fixes a reproducible column order for tables.
+    reps, sizes and members follow that order; members[j] lists the raw
+    image tuples of class j as the class BFS found them, and the BFS's one
+    dict from raw element to class serves index_of, census and class_of.
     """
 
     def __init__(self, group: PermGroup):
@@ -58,10 +66,13 @@ class ClassData:
                         orbit.append(y)
             orbits.append(orbit)
         order = sorted(range(len(orbits)), key=lambda c: (len(orbits[c]), min(orbits[c])))
-        relabel = {old: new for new, old in enumerate(order)}
-        self.reps = tuple(Permutation._from_raw(min(orbits[c])) for c in order)
-        self.sizes = tuple(len(orbits[c]) for c in order)
-        self._index = {raw: relabel[cid] for raw, cid in found.items()}
+        self.members = tuple(orbits[c] for c in order)
+        for j, orbit in enumerate(self.members):
+            for x in orbit:
+                found[x] = j
+        self._index = found
+        self.reps = tuple(Permutation._from_raw(min(orbit)) for orbit in self.members)
+        self.sizes = tuple(len(orbit) for orbit in self.members)
         self._orders = tuple(rep.order for rep in self.reps)
         self._pow_rows: dict[int, list[int]] = {}
 
@@ -73,6 +84,16 @@ class ClassData:
             return self._index[p._img]
         except KeyError:
             raise ValueError(f"{p!r} is not in the group") from None
+
+    def index_of(self, raw: tuple[int, ...]) -> int | None:
+        """Class of a raw image tuple, or None when it is not in the group."""
+        return self._index.get(raw)
+
+    def census(self, raws) -> list[int]:
+        """How many of the raw image tuples raws lie in each class.  Every one
+        must lie in the group; KeyError names the first that does not."""
+        tally = Counter(map(self._index.__getitem__, raws))
+        return [tally[j] for j in range(len(self.reps))]
 
     def rep_order(self, j: int) -> int:
         return self._orders[j]
@@ -314,11 +335,10 @@ class CharacterTable:
     """Irreducible characters of a group, rows sorted by degree then values."""
 
     def __init__(self, group: PermGroup, classes: ClassData,
-                 characters: tuple[Character, ...], prime: int):
+                 characters: tuple[Character, ...]):
         self.group = group
         self.classes = classes
         self.characters = characters
-        self.prime = prime
 
     def __len__(self) -> int:
         return len(self.characters)
@@ -365,9 +385,6 @@ def _dixon(group: PermGroup) -> CharacterTable:
 
     reps_raw = [rep._img for rep in cd.reps]
     index = cd._index
-    members: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
-    for x, c in index.items():
-        members[c].append(x)
 
     # split the common eigenspaces with one class matrix at a time, smallest
     # class first: mat[j][k] counts x in C_a with x^-1 times the
@@ -378,7 +395,7 @@ def _dixon(group: PermGroup) -> CharacterTable:
         if all(len(basis) == 1 for basis, _ in spaces):
             break
         mat = [[0] * r for _ in range(r)]
-        for x in members[a]:
+        for x in cd.members[a]:
             ix = _inv(x)
             for k, z in enumerate(reps_raw):
                 mat[index[_mul(ix, z)]][k] += 1
@@ -449,7 +466,7 @@ def _dixon(group: PermGroup) -> CharacterTable:
 
     chars.sort(key=lambda c: (c.degree, tuple(v.sort_key() for v in c.values)))
     _verify_table(n_g, chars)
-    return CharacterTable(group, cd, tuple(chars), p)
+    return CharacterTable(group, cd, tuple(chars))
 
 
 def _verify_table(n_g: int, chars: list[Character]) -> None:

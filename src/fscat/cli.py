@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import config
 from .catalog import _EXAMPLES, run_all, verify
-from .config import RunConfig, load_config
+from .config import load_config
 from .cosets import double_cosets, sym_census
 from .indicators import category_scan
 from .perm import (
@@ -128,12 +128,12 @@ def _summary_line(report) -> str:
     return ", ".join(f"{k}: {v}" for k, v in report.summary.items())
 
 
-def _cmd_indicators(args, cfg: RunConfig) -> tuple[int, str]:
+def _cmd_indicators(args) -> tuple[int, str]:
     if args.m < 1:
         raise ValueError("m must be a positive integer")
     gspec, hspec, group, sub = _groups(args)
     report = category_scan(group, sub, args.m, gspec.to_text(),
-                           hspec.to_text(), seed=cfg.seed)
+                           hspec.to_text())
     if args.json:
         return 0, report.to_json() + "\n"
     if args.csv:
@@ -149,7 +149,7 @@ def _cmd_indicators(args, cfg: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_double_cosets(args, cfg: RunConfig) -> tuple[int, str]:
+def _cmd_double_cosets(args) -> tuple[int, str]:
     _, _, group, sub = _groups(args)
     decomposition = double_cosets(group, sub)
     if args.json:
@@ -163,7 +163,7 @@ def _cmd_double_cosets(args, cfg: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_census(args, cfg: RunConfig) -> tuple[int, str]:
+def _cmd_census(args) -> tuple[int, str]:
     if not 1 <= args.l <= args.n:
         raise ValueError("need 1 <= l <= n")
     total, null = sym_census(args.l, args.n)
@@ -175,7 +175,7 @@ def _verify_params(args) -> dict:
             if getattr(args, name) is not None}
 
 
-def _cmd_verify(args, cfg: RunConfig) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, str]:
     try:
         report = verify(args.claim, **_verify_params(args))
     except TypeError as exc:
@@ -188,7 +188,7 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[int, str]:
     return code, report.line() + "\n"
 
 
-def _cmd_verify_all(args, cfg: RunConfig) -> tuple[int, str]:
+def _cmd_verify_all(args) -> tuple[int, str]:
     reports = run_all(args.profile)
     failed = sum(1 for r in reports if r.status == "fail")
     if args.json:
@@ -202,7 +202,7 @@ def _cmd_verify_all(args, cfg: RunConfig) -> tuple[int, str]:
     return (1 if failed else 0), "\n".join(lines) + "\n"
 
 
-def _cmd_example(args, cfg: RunConfig) -> tuple[int, str]:
+def _cmd_example(args) -> tuple[int, str]:
     status, _, lines = _EXAMPLES[args.id]()
     return (0 if status == "pass" else 1), "\n".join(lines) + "\n"
 
@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> RunConfig:
+def _apply_config(args) -> None:
     cfg = load_config(args.config)
     if args.enum_bound is not None:
         cfg.enumeration_bound = args.enum_bound
@@ -281,7 +281,6 @@ def _apply_config(args) -> RunConfig:
     cfg.validate()
     config.ENUMERATION_BOUND = cfg.enumeration_bound
     config.INDEX_BOUND = cfg.index_bound
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -291,8 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     # every exit path.
     saved = config.ENUMERATION_BOUND, config.INDEX_BOUND
     try:
-        cfg = _apply_config(args)
-        code, text = args.func(args, cfg)
+        _apply_config(args)
+        code, text = args.func(args)
     except (BoundExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

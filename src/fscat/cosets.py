@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from . import config
 from .perm import (BoundExceeded, Permutation, PermGroup, _identity, _inv, _mul,
-                   sym, sym_embed)
+                   _sift, sym, sym_embed)
 
 
 def _check_inclusion(group: PermGroup, sub: PermGroup) -> None:
@@ -56,21 +56,18 @@ def _check_inclusion(group: PermGroup, sub: PermGroup) -> None:
         raise ValueError("not a subgroup")
 
 
-def _coset_index(group: PermGroup, sub: PermGroup,
-                 limit: int | None = None) -> int:
-    """[group : sub], or BoundExceeded when it passes the index bound."""
+def _coset_index(group: PermGroup, sub: PermGroup) -> int:
+    """[group : sub], or BoundExceeded when it passes config.INDEX_BOUND."""
     _check_inclusion(group, sub)
-    limit = config.INDEX_BOUND if limit is None else limit
     index = group.order() // sub.order()
-    if index > limit:
-        raise BoundExceeded("index bound", limit, index)
+    if index > config.INDEX_BOUND:
+        raise BoundExceeded("index bound", config.INDEX_BOUND, index)
     return index
 
 
-def left_coset_reps(group: PermGroup, sub: PermGroup,
-                    limit: int | None = None) -> list[Permutation]:
+def left_coset_reps(group: PermGroup, sub: PermGroup) -> list[Permutation]:
     """Canonical representatives of the left cosets of sub, sorted."""
-    index = _coset_index(group, sub, limit)
+    index = _coset_index(group, sub)
     gen_raws = [g._img for g in group.generators]
     start = sub.coset_min(Permutation.identity(group.degree)._img)
     seen = {start}
@@ -176,7 +173,7 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
         if order == target:
             break
         x = _mul(_inv(trans[nxt]), _mul(s, t_c))
-        if x != idt and (not found or grown._sift(x) != idt):
+        if x != idt and (not found or _sift(grown._chain(), x) != idt):
             found.append(x)
             grown = PermGroup(len(start), [Permutation._from_raw(t) for t in found])
             order = grown.order()
@@ -207,8 +204,7 @@ def _free_letter_gens(group: PermGroup, sub: PermGroup
     return []
 
 
-def double_cosets(group: PermGroup, sub: PermGroup,
-                  limit: int | None = None) -> DoubleCosetDecomposition:
+def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     """Double cosets of sub in group, sorted by canonical representative.
 
     The least left coset not yet visited starts a root: its orbit walk sifts
@@ -218,7 +214,7 @@ def double_cosets(group: PermGroup, sub: PermGroup,
     and its data are the root's, conjugated by k = t*u*k_src with t from that
     walk's transversal.
     """
-    reps = left_coset_reps(group, sub, limit)
+    reps = left_coset_reps(group, sub)
     pos = {p._img: i for i, p in enumerate(reps)}
     h_order = sub.order()
     gens = [g._img for g in sub.generators]

@@ -49,25 +49,7 @@ from .chartab import (
 )
 from .cosets import DoubleCosetDecomposition, double_cosets, stabilizer
 from .cyclo import ZERO, Cyclotomic
-from .perm import PermGroup, Permutation, _conj, _identity, _inv, _mul, conjugate
-
-
-def _raw_pow(x: tuple[int, ...], m: int) -> tuple[int, ...]:
-    # binary powering from the lowest set bit of m, with no square after the
-    # highest: x^4 takes two products
-    if m == 0:
-        return _identity(len(x))
-    while not m & 1:
-        x = _mul(x, x)
-        m >>= 1
-    acc = x
-    m >>= 1
-    while m:
-        x = _mul(x, x)
-        if m & 1:
-            acc = _mul(acc, x)
-        m >>= 1
-    return acc
+from .perm import PermGroup, Permutation, _conj, _inv, _mul, _raw_pow, conjugate
 
 
 def _check_m(m: int) -> None:
@@ -107,22 +89,15 @@ def _coset_power_counts(g: Permutation, sub: PermGroup, cd: ClassData,
     """Class census in S(g) of the values (g x)^m that land in H, x over H."""
     members = sub.element_set()
     g_raw = g._img
-    counts = [0] * len(cd)
-    for x in sub.element_tuples():
-        y = _raw_pow(_mul(g_raw, x), m)
-        if y in members:
-            counts[cd._index[y]] += 1
-    return counts
+    powers = (_raw_pow(_mul(g_raw, x), m) for x in sub.element_tuples())
+    return cd.census(y for y in powers if y in members)
 
 
 def _square_counts(g: Permutation, cd: ClassData) -> list[int]:
     """Class census of (g x)^2 for x over the stabilizer S behind cd."""
     g_raw = g._img
-    counts = [0] * len(cd)
-    for x in cd.group.element_tuples():
-        gx = _mul(g_raw, x)
-        counts[cd._index[_mul(gx, gx)]] += 1
-    return counts
+    products = (_mul(g_raw, x) for x in cd.group.element_tuples())
+    return cd.census(_mul(gx, gx) for gx in products)
 
 
 def nu_m(g: Permutation, chi: Character, sub: PermGroup, m: int = 2) -> int:
@@ -188,17 +163,8 @@ def nu2_stab(g: Permutation, chi: Character, sub: PermGroup) -> int:
                               f"nu_2 of {g.to_text()}")[0]
 
 
-@dataclass(frozen=True)
-class IndexTwoOvergroup:
-    """The group S + gS generated over a stabilizer by its coset element."""
-
-    group: PermGroup
-    sub: PermGroup
-    g: Permutation
-
-
-def index_two_overgroup(g: Permutation, stab: PermGroup) -> IndexTwoOvergroup:
-    """Build S + gS; g must square into S and normalize it."""
+def index_two_overgroup(g: Permutation, stab: PermGroup) -> PermGroup:
+    """S + gS, generated by S and g; g must square into S and normalize it."""
     members = stab.element_set()
     if _mul(g._img, g._img) not in members:
         raise ValueError("g^2 must lie in the stabilizer")
@@ -207,12 +173,10 @@ def index_two_overgroup(g: Permutation, stab: PermGroup) -> IndexTwoOvergroup:
             raise ValueError("g must normalize the stabilizer")
     if g._img in members:
         raise ValueError("g already lies in the stabilizer")
-    tuples = list(stab.element_tuples())
-    tuples += [_mul(g._img, x) for x in tuples]
-    big = PermGroup._from_element_tuples(stab.degree, tuples)
+    big = PermGroup(stab.degree, stab.generators + (g,))
     if big.order() != 2 * stab.order():
         raise ValueError("S + gS failed to close up at index two")
-    return IndexTwoOvergroup(group=big, sub=stab, g=g)
+    return big
 
 
 def nu2_squares(g: Permutation, chi: Character, sub: PermGroup) -> int:
@@ -223,17 +187,16 @@ def nu2_squares(g: Permutation, chi: Character, sub: PermGroup) -> int:
     """
     cd = chi.classes
     hat = index_two_overgroup(g, cd.group)
-    total = ZERO
-    for x in hat.group.element_tuples():
-        total = total + chi.values[cd._index[_mul(x, x)]]
-    total = total.scaled(Fraction(1, cd.group.order()))
-    return _as_int(total - nu_classical(chi), f"nu_2 of {g.to_text()}")
+    what = f"nu_2 of {g.to_text()}"
+    counts = cd.census(_mul(x, x) for x in hat.element_tuples())
+    total = _census_indicators(counts, [chi], cd.group.order(), what)[0]
+    return total - _as_int(nu_classical(chi), what)
 
 
 def nu2_induced(g: Permutation, chi: Character, sub: PermGroup) -> int:
     """Degree-2 indicator via induction of chi to S + gS."""
     hat = index_two_overgroup(g, chi.classes.group)
-    lifted = induce(chi, hat.group)
+    lifted = induce(chi, hat)
     total = nu_classical(lifted) - nu_classical(chi)
     return _as_int(total, f"nu_2 of {g.to_text()}")
 
@@ -246,7 +209,7 @@ def nu2_extension(g: Permutation, chi: Character, sub: PermGroup) -> int:
     """
     cd = chi.classes
     hat = index_two_overgroup(g, cd.group)
-    table = character_table(hat.group)
+    table = character_table(hat)
     lifted = None
     for cand in table.characters:
         mult = inner_product(cand.restrict(cd.group), chi)
@@ -276,11 +239,8 @@ def _twisted_counts(cd: ClassData, u: Permutation) -> list[int]:
         if _conj(uu, s._img) != s._img:
             raise ValueError("u^2 must centralize the group of chi")
     u_inv = _inv(u_raw)
-    index = cd._index
-    counts = [0] * len(cd)
-    for x in cd.group.element_tuples():
-        counts[index[_mul(x, _mul(_mul(u_raw, x), u_inv))]] += 1
-    return counts
+    return cd.census(_mul(x, _mul(_mul(u_raw, x), u_inv))
+                     for x in cd.group.element_tuples())
 
 
 def nu_twisted(chi: Character, u: Permutation) -> int:
@@ -521,7 +481,7 @@ def _transported(source, conj: tuple[int, ...], cd: ClassData,
     k_src, reps, by_values = source
     c = _mul(conj, _inv(k_src))
     c_inv = _inv(c)
-    cols = [cd._index.get(_mul(_mul(c, z), c_inv)) for z in reps]
+    cols = [cd.index_of(_mul(_mul(c, z), c_inv)) for z in reps]
     if None in cols:
         raise ArithmeticError(f"{what}: conjugation misses the stabilizer")
     out = []
@@ -575,6 +535,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     while classes:
         stab, where = classes.pop()
         table = character_table(stab)
+        cd = conjugacy_classes(stab)
         for i in where:
             dc = decomposition.cosets[i]
             g = dc.rep
@@ -582,8 +543,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
             if m == 2 and not dc.self_inverse:
                 nus = [0] * len(table.characters)
             elif source is not None:
-                nus = _transported(source, dc.conj, conjugacy_classes(stab),
-                                   table.characters,
+                nus = _transported(source, dc.conj, cd, table.characters,
                                    f"nu_{m} at {g.to_text()}")
             elif m == 2:
                 w = two_power_rep(g, sub)
@@ -595,7 +555,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                     nus = [_as_int(nu_classical(chi), "classical nu_2")
                            for chi in table.characters]
                 else:
-                    counts = _square_counts(w, conjugacy_classes(stab))
+                    counts = _square_counts(w, cd)
                     nus = _census_indicators(counts, table.characters,
                                              stab.order(),
                                              f"nu_2 at {w.to_text()}")
@@ -604,7 +564,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                         raise ArithmeticError(
                             f"degree-2 indicator out of range: {value}")
             else:
-                counts = _coset_power_counts(g, sub, conjugacy_classes(stab), m)
+                counts = _coset_power_counts(g, sub, cd, m)
                 nus = _census_indicators(counts, table.characters,
                                          stab.order(),
                                          f"nu_{m} at {g.to_text()}", conj=True)
@@ -613,7 +573,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                 sources.pop(dc.root, None)
             elif source is None and (m != 2 or dc.self_inverse):
                 sources[dc.root] = (
-                    dc.conj, [z._img for z in conjugacy_classes(stab).reps],
+                    dc.conj, [z._img for z in cd.reps],
                     {chi.values: value
                      for chi, value in zip(table.characters, nus)})
             rows[i] = [IndicatorEntry(rep=g, stab_order=stab.order(),
@@ -623,7 +583,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
         # while the next one is enumerated.  The caches point back at the
         # group, so clear them to let reference counting free all three now.
         stab._class_data = stab._char_table = None
-        del stab, table
+        del stab, table, cd
     entries = [entry for row in rows for entry in row]
     _check_global_identities(group, sub, m, entries)
     return IndicatorReport(

@@ -46,6 +46,24 @@ def _conj(g: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
     return _mul(_mul(g, x), _inv(g))
 
 
+def _raw_pow(x: tuple[int, ...], m: int) -> tuple[int, ...]:
+    # binary powering from the lowest set bit of m, with no square after the
+    # highest: x^4 takes two products.  m must not be negative.
+    if m == 0:
+        return _identity(len(x))
+    while not m & 1:
+        x = _mul(x, x)
+        m >>= 1
+    acc = x
+    m >>= 1
+    while m:
+        x = _mul(x, x)
+        if m & 1:
+            acc = _mul(acc, x)
+        m >>= 1
+    return acc
+
+
 def _min_moved(a: tuple[int, ...]) -> int | None:
     for i, v in enumerate(a):
         if v != i:
@@ -200,13 +218,7 @@ class Permutation:
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inverse() ** (-k)
-        base, acc = self._img, _identity(self.degree)
-        while k:
-            if k & 1:
-                acc = _mul(acc, base)
-            base = _mul(base, base)
-            k >>= 1
-        return Permutation._from_raw(acc)
+        return Permutation._from_raw(_raw_pow(self._img, k))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._img == other._img
@@ -237,6 +249,20 @@ class _Level:
     def __init__(self, point: int):
         self.point = point
         self.orbit: dict[int, tuple[int, ...]] = {point: None}  # filled with raws
+
+
+def _sift(levels: list[_Level], g: tuple[int, ...], start: int = 0
+          ) -> tuple[int, ...]:
+    """Sift g from levels[start] down: the identity exactly when g is in the group."""
+    for lv in levels[start:]:
+        p = g[lv.point]
+        if p == lv.point:
+            continue
+        u = lv.orbit.get(p)
+        if u is None:
+            return g
+        g = _mul(_inv(u), g)
+    return g
 
 
 class PermGroup:
@@ -304,17 +330,6 @@ class PermGroup:
                         lv.orbit[q] = _mul(s, up)
                         queue.append(q)
 
-        def sift_from(g: tuple[int, ...], start: int) -> tuple[int, ...]:
-            for b in range(start, n - 1):
-                p = g[b]
-                if p == b:
-                    continue
-                u = levels[b].orbit.get(p)
-                if u is None:
-                    return g
-                g = _mul(_inv(u), g)
-            return g
-
         def complete(b: int) -> None:
             gens = level_gens(b)
             while True:
@@ -326,7 +341,7 @@ class PermGroup:
                     for s in gens:
                         usp = lv.orbit[s[p]]
                         schreier = _mul(_inv(usp), _mul(s, up))
-                        r = sift_from(schreier, b + 1)
+                        r = _sift(levels, schreier, b + 1)
                         if r != idt:
                             residue = r
                             break
@@ -353,21 +368,10 @@ class PermGroup:
             self._build_chain()
         return self._order
 
-    def _sift(self, g: tuple[int, ...]) -> tuple[int, ...]:
-        for lv in self._chain():
-            p = g[lv.point]
-            if p == lv.point:
-                continue
-            u = lv.orbit.get(p)
-            if u is None:
-                return g
-            g = _mul(_inv(u), g)
-        return g
-
     def member(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        return self._sift(p._img) == _identity(self.degree)
+        return _sift(self._chain(), p._img) == _identity(self.degree)
 
     def __contains__(self, p: Permutation) -> bool:
         return self.member(p)
@@ -379,11 +383,11 @@ class PermGroup:
 
     # -- enumeration --------------------------------------------------------
 
-    def element_tuples(self, limit: int | None = None) -> list[tuple[int, ...]]:
+    def element_tuples(self) -> list[tuple[int, ...]]:
         """All elements as raw 0-based image tuples, in stabilizer-chain order."""
         if self._elem_tuples is not None:
             return self._elem_tuples
-        limit = config.ENUMERATION_BOUND if limit is None else limit
+        limit = config.ENUMERATION_BOUND
         if self.order() > limit:
             raise BoundExceeded("enumeration bound", limit, self.order())
         levels = self._chain()
@@ -397,12 +401,12 @@ class PermGroup:
         self._elem_tuples = out
         return out
 
-    def elements(self, limit: int | None = None) -> list[Permutation]:
-        return [Permutation._from_raw(t) for t in self.element_tuples(limit)]
+    def elements(self) -> list[Permutation]:
+        return [Permutation._from_raw(t) for t in self.element_tuples()]
 
-    def element_set(self, limit: int | None = None) -> frozenset:
+    def element_set(self) -> frozenset:
         if self._elem_set is None:
-            self._elem_set = frozenset(self.element_tuples(limit))
+            self._elem_set = frozenset(self.element_tuples())
         return self._elem_set
 
     @classmethod
@@ -412,7 +416,7 @@ class PermGroup:
         gens: list[Permutation] = []
         grp = cls(degree, [])
         for t in elems:
-            if grp._sift(t) != _identity(degree):
+            if _sift(grp._chain(), t) != _identity(degree):
                 gens.append(Permutation._from_raw(t))
                 grp = cls(degree, gens)
         if grp.order() != len(elems):

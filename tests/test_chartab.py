@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -179,7 +180,7 @@ def induced_by_definition(sub, big):
     for y in conjugacy_classes(big).reps:
         counts = [0] * len(cd)
         for x, x_inv in pairs:
-            j = cd._index.get(_mul(_mul(x_inv, y._img), x))
+            j = cd.index_of(_mul(_mul(x_inv, y._img), x))
             if j is not None:
                 counts[j] += 1
         censuses.append(counts)
@@ -197,11 +198,11 @@ def induced_by_definition(sub, big):
 
 
 def stabilizer_overgroup():
-    # S(g) of order 12 for g = (1,3)(2,4) over tilde S7; the first three
-    # generators of S + gS lie in S
+    # S(g) of order 12 for g = (1,3)(2,4) over tilde S7; S + gS is
+    # generated by the generators of S, then g
     g = P("(1,3)(2,4)", 7)
     stab = stabilizer(g, tilde_sym(7))
-    return stab, index_two_overgroup(g, stab).group
+    return stab, index_two_overgroup(g, stab)
 
 
 @pytest.mark.parametrize("case", ["A4", "A5", "A6", "overgroup"])
@@ -261,6 +262,36 @@ def test_indicator_of_cyclic_characters_detects_order():
             assert nu_classical(chi, m) == want
 
 
+CLASS_MAP_GROUPS = {
+    "S4": lambda: sym(4),
+    "A5": lambda: alt(5),
+    "C8": lambda: cyclic(8),
+    "S(g) over tilde S7": lambda: stabilizer(P("(1,3)(2,4)", 7), tilde_sym(7)),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_MAP_GROUPS))
+def test_class_map_members_index_and_census(name):
+    group = CLASS_MAP_GROUPS[name]()
+    cd = conjugacy_classes(group)
+    elems = group.element_tuples()
+    assert cd.census(elems) == list(cd.sizes)
+    assert [len(m) for m in cd.members] == list(cd.sizes)
+    assert [min(m) for m in cd.members] == [rep._img for rep in cd.reps]
+    for j, m in enumerate(cd.members):
+        assert all(cd.index_of(x) == j for x in m)
+    for x in elems:
+        assert cd.index_of(x) == cd.class_of(Permutation._from_raw(x))
+    inside = group.element_set()
+    outside = next((x for x in permutations(range(group.degree))
+                    if x not in inside), tuple(range(group.degree + 1)))
+    assert cd.index_of(outside) is None
+    with pytest.raises(ValueError):
+        cd.class_of(Permutation._from_raw(outside))
+    with pytest.raises(KeyError):
+        cd.census([outside])
+
+
 def test_power_and_inverse_class_maps():
     cd = conjugacy_classes(sym(4))
     four = next(j for j in range(len(cd)) if cd.rep_order(j) == 4)
@@ -301,9 +332,9 @@ def test_rows_are_central_characters_of_the_full_class_algebra(name):
     r = len(cd)
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for x in group.element_tuples():
-        rows, ix = a[cd._index[x]], _inv(x)
+        rows, ix = a[cd.index_of(x)], _inv(x)
         for k, rep in enumerate(cd.reps):
-            rows[cd._index[_mul(ix, rep._img)]][k] += 1
+            rows[cd.index_of(_mul(ix, rep._img))][k] += 1
     assert all(sum(a[i][j][k] for i in range(r) for j in range(r)) == group.order()
                for k in range(r))
     assert len(table) == r

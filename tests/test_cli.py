@@ -1,11 +1,15 @@
 """Driver-level checks: spec parsing, exit codes, output formats, bounds."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fscat
 from fscat import config, double_cosets, sym, sym_embed, verify
 from fscat.cli import GroupSpec, main, parse_group_spec
 
@@ -50,6 +54,19 @@ def test_bad_group_specs_are_rejected(bad):
 def test_census_output_and_exit_code(capsys):
     assert main(["census", "--l", "3", "--n", "6"]) == 0
     assert capsys.readouterr().out == "34,20\n"
+
+
+def test_python_dash_m_runs_the_command_line():
+    # the package's parent directory goes first on the path, so the child
+    # imports this checkout's fscat whether or not it is installed
+    src = str(Path(fscat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "fscat", "census", "--l", "3", "--n", "6"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "34,20\n", "")
 
 
 def test_census_rejects_bad_range(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fscat import config
 from fscat.cosets import (
     BoundExceeded,
     DoubleCoset,
@@ -90,9 +91,10 @@ def test_right_transversal_covers_disjointly():
     assert len(covered) == group.order()
 
 
-def test_index_bound_is_enforced():
+def test_index_bound_is_enforced(monkeypatch):
+    monkeypatch.setattr(config, "INDEX_BOUND", 10)
     with pytest.raises(BoundExceeded):
-        left_coset_reps(sym(5), sym_embed(2, 5), limit=10)
+        left_coset_reps(sym(5), sym_embed(2, 5))
 
 
 def test_rejects_non_subgroup():

@@ -167,7 +167,7 @@ def test_elements_enumeration():
 
 def test_enumeration_bound():
     with pytest.raises(BoundExceeded) as exc:
-        sym(12).elements(limit=10**6)
+        sym(12).elements()
     assert "enumeration bound" in str(exc.value)
     assert "1000000" in str(exc.value)
 
