@@ -22,7 +22,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, int) or v < 1:
+            # bool is a subclass of int, but true is not a bound of 1
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"config field {f.name} must be a positive integer, got {v!r}")
         return self
 

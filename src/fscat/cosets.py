@@ -9,8 +9,8 @@ The orbit walk also yields the stabilizer S(rep) = H & rep*H*rep^-1.  It has
 order |H| / |orbit| (orbit-stabilizer theorem), and the Schreier generators
 of the walk's closing edges generate it (Schreier's lemma; Seress,
 Permutation Group Algorithms, ch. 4).  So each double coset carries
-generators of S(rep) without a pass over H.  stabilizer() filters H instead,
-for a single coset of any element, and returns the group.
+generators of S(rep) without a pass over H, and stabilizer() takes S(g) for
+a single coset of any element from the same walk.
 
 The same walk decides whether a double coset is self-inverse, that is whether
 rep^-1 lies in H*rep*H: exactly when the canonical left coset of rep^-1 is in
@@ -27,9 +27,11 @@ substituting x -> k*x*k^-1 in the defining sum gives
 nu_m(kgk^-1, chi) = nu_m(g, chi o (z -> k*z*k^-1)).  Every permutation of
 the letters sub fixes centralizes sub, so U = Sym(Fix sub) & group supplies
 such k for free.  double_cosets walks and sifts only one root per orbit of U
-on the double cosets; each other coset of the orbit is walked without
-sifting and records its k (DoubleCoset.root, DoubleCoset.conj), from which
-indicators.category_scan moves the root's rows.
+on the double cosets.  Each other double coset of the orbit is not walked:
+its left cosets are the root's mapped through c -> k*c*k^-1, since
+k*h*c*H*k^-1 = (k*h*k^-1)*(k*c*k^-1)*H.  It records its k
+(DoubleCoset.root, DoubleCoset.conj), from which indicators.category_scan
+moves the root's rows.
 
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
@@ -127,34 +129,13 @@ class DoubleCosetDecomposition:
         return iter(self.cosets)
 
 
-def _coset_walk(start: tuple[int, ...], sub: PermGroup, gens, closing=None
-                ) -> tuple[list[tuple[int, ...]], dict]:
-    """The canonical left cosets in the sub-orbit of start*sub, with a
-    Schreier transversal: trans[c] in sub carries start*sub to c*sub.
-
-    When closing is a list, every edge c -> s*c that reaches a coset already
-    seen is appended to it as (s, trans[c], s*c).
-    """
-    trans = {start: _identity(len(start))}
-    orbit = [start]
-    for c in orbit:
-        t_c = trans[c]
-        for s in gens:
-            nxt = sub.coset_min(_mul(s, c))
-            if nxt not in trans:
-                trans[nxt] = _mul(s, t_c)
-                orbit.append(nxt)
-            elif closing is not None:
-                closing.append((s, t_c, nxt))
-    return orbit, trans
-
-
 def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
-                 ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...],
-                            bool]:
-    """The canonical left cosets in the sub-orbit of start*sub, raw
-    generators of their stabilizer S(start), and whether start^-1*sub lies in
-    that orbit (DoubleCoset.self_inverse).
+                 ) -> tuple[list[tuple[int, ...]], dict,
+                            tuple[tuple[int, ...], ...], bool]:
+    """The canonical left cosets in the sub-orbit of start*sub, a Schreier
+    transversal (trans[c] in sub carries start*sub to c*sub), raw generators
+    of the stabilizer S(start), and whether start^-1*sub lies in that orbit
+    (DoubleCoset.self_inverse).
 
     An edge c -> s*c of the walk that reaches a coset already seen gives the
     Schreier generator trans[s*c]^-1 * s * trans[c], which fixes start*sub;
@@ -162,9 +143,19 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
     |S(start)| = |sub| / |orbit|, so they are sifted into a growing group only
     until it reaches that order.
     """
-    closing: list = []
-    orbit, trans = _coset_walk(start, sub, gens, closing)
     idt = _identity(len(start))
+    trans = {start: idt}
+    orbit = [start]
+    closing = []
+    for c in orbit:
+        t_c = trans[c]
+        for s in gens:
+            nxt = sub.coset_min(_mul(s, c))
+            if nxt not in trans:
+                trans[nxt] = _mul(s, t_c)
+                orbit.append(nxt)
+            else:
+                closing.append((s, t_c, nxt))
     target = sub.order() // len(orbit)
     found: list[tuple[int, ...]] = []
     grown = PermGroup(len(start), [])
@@ -178,7 +169,7 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
             grown = PermGroup(len(start), [Permutation._from_raw(t) for t in found])
             order = grown.order()
     assert order == target
-    return orbit, tuple(found), sub.coset_min(_inv(start)) in trans
+    return orbit, trans, tuple(found), sub.coset_min(_inv(start)) in trans
 
 
 def _free_letter_gens(group: PermGroup, sub: PermGroup
@@ -209,50 +200,51 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
 
     The least left coset not yet visited starts a root: its orbit walk sifts
     generators of S(root) and decides self_inverse.  The root's images under
-    the free-letter generators u (and their images in turn) are folded: an
-    image u*src*u^-1 whose left coset is unvisited is walked without sifting,
-    and its data are the root's, conjugated by k = t*u*k_src with t from that
-    walk's transversal.
+    the free-letter generators u (and their images in turn) are folded: with
+    k = u*k_src, the orbit of k*root*k^-1, if its left coset is unvisited, is
+    the root's orbit mapped through c -> k*c*k^-1, one coset_min per left
+    coset and no walk.  Its least coset rep is the image of some c in the
+    root's orbit, so conj = k*trans[c] carries the root to rep, and its data
+    are the root's, conjugated by conj.
     """
     reps = left_coset_reps(group, sub)
-    pos = {p._img: i for i, p in enumerate(reps)}
+    # the left cosets not yet visited; holding reps' own tuples, the set adds
+    # no copy of any coset
+    unvisited = {p._img for p in reps}
     h_order = sub.order()
     gens = [g._img for g in sub.generators]
-    free = [(u, _inv(u)) for u in _free_letter_gens(group, sub)]
+    free = _free_letter_gens(group, sub)
     idt = _identity(group.degree)
-    visited = bytearray(len(reps))
-    # left position of the rep -> (n_left, stab_gens, self_inverse,
-    # left position of the root, conj)
-    found: dict[int, tuple] = {}
-    for i, start_p in enumerate(reps):
-        if visited[i]:
-            continue
+    # rep -> (n_left, stab_gens, self_inverse, root's rep, conj)
+    found: dict[tuple[int, ...], tuple] = {}
+    for start_p in reps:
         root = start_p._img
-        orbit, stab_gens, self_inverse = _coset_orbit(root, sub, gens)
-        for c in orbit:
-            visited[pos[c]] = 1
-        found[i] = (len(orbit), stab_gens, self_inverse, i, idt)
-        queue = [(root, idt)]
-        for src, k_src in queue:
-            for u, u_inv in free:
-                image = sub.coset_min(_mul(_mul(u, src), u_inv))
-                if visited[pos[image]]:
-                    continue
-                folded, trans = _coset_walk(image, sub, gens)
-                rep = min(folded)
-                k = _mul(trans[rep], _mul(u, k_src))
+        if root not in unvisited:
+            continue
+        orbit, trans, stab_gens, self_inverse = _coset_orbit(root, sub, gens)
+        unvisited.difference_update(orbit)
+        found[root] = (len(orbit), stab_gens, self_inverse, root, idt)
+        queue = [idt]
+        for k_src in queue:
+            for u in free:
+                k = _mul(u, k_src)
                 k_inv = _inv(k)
-                moved = tuple(_mul(_mul(k, x), k_inv) for x in stab_gens)
-                assert len(folded) == len(orbit)
+                if sub.coset_min(_mul(_mul(k, root), k_inv)) not in unvisited:
+                    continue
+                image = [sub.coset_min(_mul(_mul(k, c), k_inv)) for c in orbit]
+                rep = min(image)
+                conj = _mul(k, trans[orbit[image.index(rep)]])
+                conj_inv = _inv(conj)
+                moved = tuple(_mul(_mul(conj, x), conj_inv) for x in stab_gens)
                 assert all(sub.coset_min(_mul(x, rep)) == rep for x in moved)
-                for c in folded:
-                    visited[pos[c]] = 1
-                found[pos[rep]] = (len(folded), moved, self_inverse, i, k)
-                queue.append((rep, k))
+                unvisited.difference_update(image)
+                found[rep] = (len(orbit), moved, self_inverse, root, conj)
+                queue.append(conj)
     where = {p: j for j, p in enumerate(sorted(found))}
-    out = tuple(DoubleCoset(rep=reps[p], n_left=n_left, size=n_left * h_order,
-                            stab_gens=stab_gens, self_inverse=self_inverse,
-                            root=where[root], conj=k)
+    out = tuple(DoubleCoset(rep=Permutation._from_raw(p), n_left=n_left,
+                            size=n_left * h_order, stab_gens=stab_gens,
+                            self_inverse=self_inverse, root=where[root],
+                            conj=k)
                 for p, (n_left, stab_gens, self_inverse, root, k)
                 in sorted(found.items()))
     assert sum(dc.size for dc in out) == group.order()
@@ -260,14 +252,21 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
 
 
 def stabilizer(g: Permutation, sub: PermGroup) -> PermGroup:
-    """S(g): the subgroup of elements x of sub with g^-1 x g again in sub,
-    that is the elements of sub fixing the left coset g*sub."""
+    """S(g) = sub & g*sub*g^-1: the elements x of sub with g^-1 x g again in
+    sub, that is the elements of sub fixing the left coset g*sub.
+
+    Its generators are the Schreier generators of the orbit walk from g*sub,
+    as in double_cosets; sub is not enumerated.  The walk visits at most |sub|
+    cosets, so sub is held to the enumeration bound all the same.
+    """
     if g.degree != sub.degree:
         raise ValueError("degree mismatch")
-    members = sub.element_set()
-    g_raw, gi = g._img, _inv(g._img)
-    kept = [x for x in sub.element_tuples() if _mul(_mul(gi, x), g_raw) in members]
-    return PermGroup._from_element_tuples(sub.degree, kept)
+    if sub.order() > config.ENUMERATION_BOUND:
+        raise BoundExceeded("enumeration bound", config.ENUMERATION_BOUND,
+                            sub.order())
+    gens = [x._img for x in sub.generators]
+    stab_gens = _coset_orbit(sub.coset_min(g._img), sub, gens)[2]
+    return PermGroup(sub.degree, [Permutation._from_raw(x) for x in stab_gens])
 
 
 # -- rewriting for a symmetric subgroup on the letters 1..l -----------------

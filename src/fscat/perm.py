@@ -193,9 +193,9 @@ class Permutation:
 
     @property
     def sign(self) -> int:
-        moved = sum(len(c) for c in _raw_cycles(self._img))
-        ncyc = len(_raw_cycles(self._img))
-        return -1 if (moved - ncyc) % 2 else 1
+        cycles = _raw_cycles(self._img)
+        moved = sum(map(len, cycles))
+        return -1 if (moved - len(cycles)) % 2 else 1
 
     @property
     def order(self) -> int:
@@ -408,21 +408,6 @@ class PermGroup:
         if self._elem_set is None:
             self._elem_set = frozenset(self.element_tuples())
         return self._elem_set
-
-    @classmethod
-    def _from_element_tuples(cls, degree: int, tuples) -> "PermGroup":
-        """Group from a closed element set, with a small generating set."""
-        elems = sorted(set(tuples))
-        gens: list[Permutation] = []
-        grp = cls(degree, [])
-        for t in elems:
-            if _sift(grp._chain(), t) != _identity(degree):
-                gens.append(Permutation._from_raw(t))
-                grp = cls(degree, gens)
-        if grp.order() != len(elems):
-            raise ValueError("element set is not closed under the group operation")
-        grp._elem_tuples = elems
-        return grp
 
     # -- cosets -------------------------------------------------------------
 

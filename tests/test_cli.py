@@ -255,6 +255,19 @@ def test_bad_config_keys_are_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_boolean_config_bounds_are_rejected(tmp_path, capsys, value):
+    # JSON true would pass an isinstance(v, int) check as the bound 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"index_bound": {value}}}')
+    with pytest.raises(ValueError, match="index_bound must be a positive"):
+        config.load_config(str(cfg))
+    assert main(["--config", str(cfg), "census", "--l", "2", "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "index_bound must be a positive integer" in err
+    assert "limit is" not in err
+
+
 def test_nonpositive_m_is_rejected(capsys):
     assert main(["indicators", "--G", "sym:4", "--H", "alt:4",
                  "--m", "0"]) == 2

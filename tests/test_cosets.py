@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fscat import config
+from test_indicators import gens_pairs
 from fscat.cosets import (
     BoundExceeded,
     DoubleCoset,
@@ -119,6 +120,14 @@ def test_double_cosets_match_brute_partition():
         assert_orbit_stabilizers(dec)
 
 
+def brute_stabilizer(g, sub):
+    """S(g) = sub & g*sub*g^-1 by a filter over all of sub."""
+    members = sub.element_set()
+    gi = g.inverse()
+    return {x for x in sub.element_tuples()
+            if (gi * Permutation._from_raw(x) * g)._img in members}
+
+
 def assert_orbit_stabilizers(dec):
     """The recorded generators of each S(rep) give the filtered stabilizer."""
     sub = dec.sub
@@ -126,7 +135,7 @@ def assert_orbit_stabilizers(dec):
         grp = PermGroup(sub.degree,
                         [Permutation._from_raw(x) for x in dc.stab_gens])
         assert grp.order() == sub.order() // dc.n_left
-        assert grp.element_set() == stabilizer(dc.rep, sub).element_set()
+        assert grp.element_set() == brute_stabilizer(dc.rep, sub)
 
 
 def test_orbit_stabilizers_beyond_initial_symmetric_subgroups():
@@ -258,14 +267,46 @@ def test_transversal_indices_partition_the_transversal():
     assert sum(dc.n_left for dc in dec) == len(left_reps)
 
 
+# subgroup, {g: |S(g)|}; the first g of each lies in the subgroup
+STABILIZER_CASES = [
+    (sym_embed(3, 6), {"(1,2)": 6, "(1,4)": 2, "(4,5)": 6, "(1,4)(2,5)": 1,
+                       "(1,4,2,5)": 1}),
+    (cyclic(8), {"(1,2,3,4,5,6,7,8)": 8, "(1,5)(3,7)": 8, "(1,2)": 1,
+                 "(1,2,3)": 1}),
+    (tilde_sym(7), {"(1,2)(3,4)": 120, "(3,4)": 120, "(1,3)(2,4)": 12,
+                    "(1,3,5)(2,6)": 12}),
+    (alt(6), {"(1,2,3)": 360, "(1,2)": 360}),   # normal: S(g) is all of it
+    (sym(1), {"()": 1}),
+    (PermGroup(5, []), {"()": 1, "(1,2,3)": 1}),
+]
+
+
 def test_stabilizer_against_brute_filter():
-    sub = sym_embed(3, 6)
-    members = sub.element_set()
-    for text in ["(1,4)", "(4,5)", "(1,4)(2,5)", "(1,4,2,5)"]:
-        g = P(text, 6)
-        brute = {x for x in sub.element_tuples()
-                 if (g.inverse() * Permutation._from_raw(x) * g)._img in members}
-        assert stabilizer(g, sub).element_set() == brute
+    for sub, orders in STABILIZER_CASES:
+        assert sub.member(P(next(iter(orders)), sub.degree))
+        for text, order in orders.items():
+            g = P(text, sub.degree)
+            stab = stabilizer(g, sub)
+            assert stab.order() == order
+            assert stab.element_set() == brute_stabilizer(g, sub)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens_pairs(), st.data())
+def test_stabilizer_matches_the_filter_on_random_pairs(pair, data):
+    group, sub, _ = pair
+    raws = group.element_tuples()
+    g = Permutation._from_raw(raws[data.draw(st.integers(0, len(raws) - 1))])
+    assert stabilizer(g, sub).element_set() == brute_stabilizer(g, sub)
+
+
+def test_stabilizer_keeps_the_enumeration_bound(monkeypatch):
+    # the walk would visit at most |H| cosets, but H is over the bound
+    monkeypatch.setattr(config, "ENUMERATION_BOUND", 23)
+    with pytest.raises(BoundExceeded) as exc:
+        stabilizer(P("(1,5)", 5), sym_embed(4, 5))
+    assert str(exc.value) == "enumeration bound exceeded: need 24, limit is 23"
+    assert stabilizer(P("(4,5)", 5), sym_embed(3, 5)).order() == 6
 
 
 def test_stabilizer_examples():

@@ -186,15 +186,6 @@ def test_dropped_group_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_group_from_element_tuples():
-    elems = alt(4).element_tuples()
-    rebuilt = PermGroup._from_element_tuples(4, elems)
-    assert rebuilt.order() == 12
-    assert sorted(rebuilt.element_tuples()) == sorted(elems)
-    with pytest.raises(ValueError):
-        PermGroup._from_element_tuples(3, [(1, 0, 2)])  # not closed
-
-
 def test_subgroup_checks():
     assert alt(6).is_subgroup_of(sym(6))
     assert not sym(6).is_subgroup_of(alt(6))
