@@ -25,7 +25,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .config import DEFAULT_SEED
 from .cyclo import ZERO, Cyclotomic, _prime_factors
 from .perm import Permutation, PermGroup, _inv, _mul
 
@@ -234,22 +233,9 @@ def nu_classical(chi: Character, m: int = 2) -> Cyclotomic:
 # -- Dixon's method ---------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _choose_prime(e: int, lower: int, group_order: int) -> int:
     p = e + 1
-    while not (p > lower and group_order % p != 0 and _is_prime(p)):
+    while not (p > lower and group_order % p != 0 and _prime_factors(p) == (p,)):
         p += e
     return p
 
@@ -364,12 +350,8 @@ def _fmt_value(v: Cyclotomic) -> str:
     return v.to_text(var=f"E({v.conductor})")
 
 
-def character_table(group: PermGroup, seed: int = DEFAULT_SEED) -> CharacterTable:
-    """Exact character table.
-
-    The construction is deterministic; seed is accepted for compatibility and
-    affects nothing.
-    """
+def character_table(group: PermGroup) -> CharacterTable:
+    """Exact character table, built once per group object by Dixon's method."""
     if group._char_table is None:
         group._char_table = _dixon(group)
     return group._char_table

@@ -129,8 +129,6 @@ def _summary_line(report) -> str:
 
 
 def _cmd_indicators(args) -> tuple[int, str]:
-    if args.m < 1:
-        raise ValueError("m must be a positive integer")
     gspec, hspec, group, sub = _groups(args)
     report = category_scan(group, sub, args.m, gspec.to_text(),
                            hspec.to_text())

@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields
 
 ENUMERATION_BOUND = 10**6
 INDEX_BOUND = 10**5
-DEFAULT_SEED = 1
 
 CONFIG_ENV_VAR = "FSCAT_CONFIG"
 
@@ -17,7 +16,7 @@ class RunConfig:
     enumeration_bound: int = ENUMERATION_BOUND
     index_bound: int = INDEX_BOUND
     # accepted for compatibility; character tables are deterministic
-    seed: int = DEFAULT_SEED
+    seed: int = 1
 
     def validate(self) -> "RunConfig":
         for f in fields(self):

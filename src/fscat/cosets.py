@@ -44,11 +44,12 @@ _raw_normal_form builds it in one pass over the raw image tuple.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import config
-from .perm import (BoundExceeded, Permutation, PermGroup, _identity, _inv, _mul,
-                   _sift, sym, sym_embed)
+from .perm import (BoundExceeded, Permutation, PermGroup, _extend, _identity,
+                   _inv, _mul, _sift, _trivial_chain, sym, sym_embed)
 
 
 def _check_inclusion(group: PermGroup, sub: PermGroup) -> None:
@@ -140,8 +141,9 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
     An edge c -> s*c of the walk that reaches a coset already seen gives the
     Schreier generator trans[s*c]^-1 * s * trans[c], which fixes start*sub;
     together these generate S(start).  Once the orbit is closed,
-    |S(start)| = |sub| / |orbit|, so they are sifted into a growing group only
-    until it reaches that order.
+    |S(start)| = |sub| / |orbit|, so they are sifted into a growing group
+    only until it reaches that order.  The group is one stabilizer chain,
+    which perm._extend grows in place by each generator that does not sift.
     """
     idt = _identity(len(start))
     trans = {start: idt}
@@ -158,16 +160,16 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
                 closing.append((s, t_c, nxt))
     target = sub.order() // len(orbit)
     found: list[tuple[int, ...]] = []
-    grown = PermGroup(len(start), [])
+    levels = _trivial_chain(len(start))
     order = 1
     for s, t_c, nxt in closing:
         if order == target:
             break
         x = _mul(_inv(trans[nxt]), _mul(s, t_c))
-        if x != idt and (not found or _sift(grown._chain(), x) != idt):
+        if _sift(levels, x) != idt:
             found.append(x)
-            grown = PermGroup(len(start), [Permutation._from_raw(t) for t in found])
-            order = grown.order()
+            _extend(levels, x)
+            order = math.prod(len(lv.orbit) for lv in levels)
     assert order == target
     return orbit, trans, tuple(found), sub.coset_min(_inv(start)) in trans
 

@@ -2,6 +2,12 @@
 
 Composition is right-to-left: (a * b) applies b first, then a.  All points in
 the public interface are 1-based; storage is 0-based image tuples.
+
+A stabilizer chain is a list of levels on the natural base 0, 1, ...; one
+kernel, _extend, adds a generator to the group a chain describes and
+completes the chain in place (incremental Schreier-Sims).  PermGroup builds
+its chain with it, and cosets grows the chain of each coset stabilizer with
+it as the orbit walk finds Schreier generators.
 """
 from __future__ import annotations
 
@@ -244,11 +250,20 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
 # groups
 
 class _Level:
-    __slots__ = ("point", "orbit")
+    __slots__ = ("point", "orbit", "gens")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, idt: tuple[int, ...]):
         self.point = point
-        self.orbit: dict[int, tuple[int, ...]] = {point: None}  # filled with raws
+        # orbit point p -> raw transversal element u with u(point) = p
+        self.orbit: dict[int, tuple[int, ...]] = {point: idt}
+        # the strong generators fixing every earlier base point
+        self.gens: list[tuple[int, ...]] = []
+
+
+def _trivial_chain(n: int) -> list[_Level]:
+    """The stabilizer chain of the trivial group on the natural base."""
+    idt = _identity(n)
+    return [_Level(b, idt) for b in range(n - 1)]
 
 
 def _sift(levels: list[_Level], g: tuple[int, ...], start: int = 0
@@ -265,11 +280,48 @@ def _sift(levels: list[_Level], g: tuple[int, ...], start: int = 0
     return g
 
 
+def _extend(levels: list[_Level], x: tuple[int, ...]) -> None:
+    """Add the nonidentity x to the group levels describes and complete the
+    chain again (incremental Schreier-Sims; Seress, Permutation Group
+    Algorithms, ch. 4).
+
+    x joins every level whose earlier base points it fixes, deepest first.
+    On each, the orbit grows with x, and only the Schreier generators of new
+    pairs are sifted: an old point with x, or a new point with any
+    generator.  Old pairs need no second sift: orbits only grow and
+    transversal entries never change, so a Schreier generator that sifted to
+    the identity once still does.  A residue that does not sift is added in
+    turn; it moves the base point of the level where it stopped outside that
+    level's orbit, so each addition grows some orbit and the recursion ends.
+    """
+    idt = _identity(len(x))
+    for b in range(_min_moved(x), -1, -1):
+        orbit, gens = levels[b].orbit, levels[b].gens
+        gens.append(x)
+        points = list(orbit)
+        n_old = len(points)
+        schreier = []
+        for i, p in enumerate(points):
+            up = orbit[p]
+            for s in gens if i >= n_old else (x,):
+                q, sup = s[p], _mul(s, up)
+                if q not in orbit:
+                    orbit[q] = sup
+                    points.append(q)
+                elif orbit[q] != sup:
+                    schreier.append(_mul(_inv(orbit[q]), sup))
+        for y in schreier:
+            r = _sift(levels, y, b + 1)
+            if r != idt:
+                _extend(levels, r)
+
+
 class PermGroup:
     """Permutation group given by generators; membership via a stabilizer chain.
 
     The chain uses the full natural base (points 0, 1, ... in storage order),
-    which also supports computing the least element of a left coset.
+    which also supports computing the least element of a left coset.  It is
+    the trivial chain extended by each generator that does not sift.
     """
 
     def __init__(self, degree: int, generators):
@@ -303,63 +355,11 @@ class PermGroup:
         return self._levels
 
     def _build_chain(self) -> None:
-        n = self.degree
-        idt = _identity(n)
-        levels = [_Level(b) for b in range(n - 1)]
-        for lv in levels:
-            lv.orbit[lv.point] = idt
-        gens_by_min: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        idt = _identity(self.degree)
+        levels = _trivial_chain(self.degree)
         for g in self.generators:
-            gens_by_min[_min_moved(g._img)].append(g._img)
-
-        def level_gens(b: int) -> list[tuple[int, ...]]:
-            out = []
-            for k in range(b, n):
-                out.extend(gens_by_min[k])
-            return out
-
-        def rebuild_orbit(b: int, gens: list[tuple[int, ...]]) -> None:
-            lv = levels[b]
-            lv.orbit = {b: idt}
-            queue = [b]
-            for p in queue:
-                up = lv.orbit[p]
-                for s in gens:
-                    q = s[p]
-                    if q not in lv.orbit:
-                        lv.orbit[q] = _mul(s, up)
-                        queue.append(q)
-
-        def complete(b: int) -> None:
-            gens = level_gens(b)
-            while True:
-                rebuild_orbit(b, gens)
-                lv = levels[b]
-                residue = None
-                for p in sorted(lv.orbit):
-                    up = lv.orbit[p]
-                    for s in gens:
-                        usp = lv.orbit[s[p]]
-                        schreier = _mul(_inv(usp), _mul(s, up))
-                        r = _sift(levels, schreier, b + 1)
-                        if r != idt:
-                            residue = r
-                            break
-                    if residue is not None:
-                        break
-                if residue is None:
-                    return
-                k = _min_moved(residue)
-                gens_by_min[k].append(residue)
-                for j in range(min(k, n - 2), b, -1):
-                    complete(j)
-                gens = level_gens(b)
-
-        for b in range(n - 2, -1, -1):
-            complete(b)
-        # complete refers to itself through its closure; break that cycle so
-        # the chain's working state is freed by reference counting
-        del complete
+            if _sift(levels, g._img) != idt:
+                _extend(levels, g._img)
         self._levels = levels
         self._order = math.prod(len(lv.orbit) for lv in levels)
 
@@ -442,8 +442,8 @@ def alt(n: int) -> PermGroup:
 
 
 def cyclic(n: int) -> PermGroup:
-    if n < 2:
-        return trivial(max(n, 1))
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     return PermGroup(n, [Permutation.from_cycles([range(1, n + 1)], n)])
 
 

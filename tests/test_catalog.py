@@ -7,6 +7,9 @@ tests below pin the offending objects so a regression in either direction
 (a wrong pass or a new kind of failure) shows up.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from fscat import cosets
@@ -124,6 +127,15 @@ def test_full_profile_matches_the_recorded_pattern(full_reports):
     failing = {key for key, r in full_reports.items() if r.status == "fail"}
     assert failing == expected_fail
     assert all(r.status in ("pass", "fail") for r in full_reports.values())
+
+
+def test_full_profile_json_is_pinned(full_reports):
+    # the bytes `fscat verify-all --profile full --json` prints
+    payload = [r.to_payload(with_runtime=False) for r in full_reports.values()]
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(payload) == 42
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ab9ae89e372f511d664993669e850e1866f6b041892d065db57113f3557bdf91")
 
 
 def test_census_failure_names_both_tallies(full_reports):

@@ -268,6 +268,13 @@ def test_boolean_config_bounds_are_rejected(tmp_path, capsys, value):
     assert "limit is" not in err
 
 
+@pytest.mark.parametrize("G, H", [("sym:0", "sym:1"),
+                                  ("cyclic:-3", "cyclic:0")])
+def test_nonpositive_family_parameters_are_usage_errors(capsys, G, H):
+    assert main(["indicators", "--G", G, "--H", H]) == 2
+    assert "need" in capsys.readouterr().err
+
+
 def test_nonpositive_m_is_rejected(capsys):
     assert main(["indicators", "--G", "sym:4", "--H", "alt:4",
                  "--m", "0"]) == 2

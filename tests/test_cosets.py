@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fscat import config
+from fscat import config, cosets
 from test_indicators import gens_pairs
 from fscat.cosets import (
     BoundExceeded,
@@ -298,6 +298,27 @@ def test_stabilizer_matches_the_filter_on_random_pairs(pair, data):
     raws = group.element_tuples()
     g = Permutation._from_raw(raws[data.draw(st.integers(0, len(raws) - 1))])
     assert stabilizer(g, sub).element_set() == brute_stabilizer(g, sub)
+
+
+def test_coset_orbit_grows_one_chain_and_builds_no_group(monkeypatch):
+    sub = tilde_sym(8, degree=9)
+    g = P("(1,3)(2,4)(8,9)", 9)
+    expect = brute_stabilizer(g, sub)
+    built = []
+    init = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    orbit, _, stab_gens, _ = cosets._coset_orbit(
+        sub.coset_min(g._img), sub, [x._img for x in sub.generators])
+    assert built == []
+    monkeypatch.undo()
+    assert len(orbit) * len(expect) == sub.order()
+    grown = PermGroup(9, [Permutation._from_raw(x) for x in stab_gens])
+    assert grown.element_set() == expect
 
 
 def test_stabilizer_keeps_the_enumeration_bound(monkeypatch):

@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 
 from fscat.perm import (
     BoundExceeded,
+    _identity,
+    _inv,
+    _min_moved,
+    _mul,
+    _sift,
     PermGroup,
     Permutation,
     alt,
@@ -122,8 +127,55 @@ def test_family_orders():
 
 
 def test_big_group_order_without_enumeration():
-    assert sym(12).order() == math.factorial(12)
-    assert alt(9).order() == math.factorial(9) // 2
+    for n in range(1, 21):
+        assert sym(n).order() == math.factorial(n)
+        assert alt(n).order() == max(math.factorial(n) // 2, 1)
+
+
+M11_GENS = ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]
+M12_GENS = M11_GENS + ["(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)"]
+
+
+def test_mathieu_orders_from_standard_generators():
+    m11 = PermGroup(11, [P(t, 11) for t in M11_GENS])
+    m12 = PermGroup(12, [P(t, 12) for t in M12_GENS])
+    assert m11.order() == 7920
+    assert m12.order() == 95040
+    assert m11.is_subgroup_of(alt(11)) and m12.is_subgroup_of(alt(12))
+
+
+def assert_chain_complete(group):
+    # every strong generator of a level fixes the earlier base points, the
+    # orbit is closed under them, and every Schreier generator sifts to the
+    # identity through the levels below
+    levels = group._chain()
+    idt = _identity(group.degree)
+    for b, lv in enumerate(levels):
+        assert lv.orbit[b] == idt
+        for p, up in lv.orbit.items():
+            assert up[b] == p
+            for s in lv.gens:
+                assert _min_moved(s) >= b
+                us = lv.orbit[s[p]]
+                assert _sift(levels, _mul(_inv(us), _mul(s, up)), b + 1) == idt
+    assert all(_sift(levels, g._img) == idt for g in group.generators)
+    assert group.order() == math.prod(len(lv.orbit) for lv in levels)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sym(10), lambda: sym_embed(5, 10), lambda: sym_embed(7, 10),
+    lambda: sym(11), lambda: tilde_sym(10, degree=11),
+    lambda: PermGroup(12, [P(t, 12) for t in M12_GENS]),
+])
+def test_stabilizer_chains_are_complete(build):
+    assert_chain_complete(build())
+
+
+def test_cyclic_needs_a_positive_order():
+    assert cyclic(1).order() == 1 and cyclic(1).degree == 1
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            cyclic(n)
 
 
 def test_membership():
@@ -243,6 +295,32 @@ def test_generated_group_closure(gens):
     assert len(elems) == g.order()
     assert all(e in g for e in elems)
     assert all(a * b in g for a in elems[:6] for b in elems[:6])
+
+
+def brute_closure(degree, gens):
+    idt = _identity(degree)
+    seen = {idt}
+    queue = [idt]
+    for x in queue:
+        for s in gens:
+            y = _mul(s, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(perms(degree=n), min_size=0, max_size=3)
+    .map(lambda gens: (n, gens))))
+@settings(deadline=None, max_examples=60)
+def test_chain_matches_brute_closure(case):
+    n, gens = case
+    group = PermGroup(n, gens)
+    closure = brute_closure(n, [g._img for g in gens])
+    assert group.order() == len(closure)
+    assert set(group.element_tuples()) == closure
+    assert_chain_complete(group)
 
 
 @given(perms(degree=5), perms(degree=5))
