@@ -10,7 +10,6 @@ from .chartab import (
     conjugacy_classes,
     induce,
     inner_product,
-    is_ambivalent,
     nu_classical,
 )
 from .cli import GroupSpec, main, parse_group_spec
@@ -27,7 +26,7 @@ from .cosets import (
     stabilizer,
     sym_census,
 )
-from .cyclo import Cyclotomic, root_of_unity
+from .cyclo import Cyclotomic
 from .indicators import (
     IndicatorEntry,
     IndicatorReport,
@@ -64,18 +63,17 @@ from .perm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundExceeded", "Character", "CharacterTable", "ClassData",
-    "Cyclotomic", "DoubleCoset", "DoubleCosetDecomposition", "GroupSpec",
-    "IndicatorEntry", "IndicatorReport", "InvarianceCheck", "PermGroup",
-    "Permutation", "ReductionCheck", "RunConfig", "VerificationReport",
-    "alt", "alt_embed", "canonical_normal_form", "category_scan",
-    "character_table", "claim_ids", "conjugacy_classes", "conjugate",
-    "cyclic", "double_cosets", "index_two_overgroup", "induce",
-    "inner_product", "invariance_check", "is_ambivalent", "is_null_coset",
-    "left_coset_reps", "load_config", "main", "normal_form_census",
-    "normal_form_with_multiplier", "nu2_extension", "nu2_induced",
-    "nu2_squares", "nu2_stab", "nu_classical", "nu_m", "nu_twisted",
-    "parse_group_spec", "reduction_check", "root_of_unity", "run_all",
-    "stabilizer", "sym", "sym_census", "sym_embed", "sym_prime",
-    "tilde_sym", "trivial", "two_power_rep", "vanishing_witness", "verify",
+    "BoundExceeded", "Character", "CharacterTable", "ClassData", "Cyclotomic",
+    "DoubleCoset", "DoubleCosetDecomposition", "GroupSpec", "IndicatorEntry",
+    "IndicatorReport", "InvarianceCheck", "PermGroup", "Permutation",
+    "ReductionCheck", "RunConfig", "VerificationReport", "alt", "alt_embed",
+    "canonical_normal_form", "category_scan", "character_table", "claim_ids",
+    "conjugacy_classes", "conjugate", "cyclic", "double_cosets",
+    "index_two_overgroup", "induce", "inner_product", "invariance_check",
+    "is_null_coset", "left_coset_reps", "load_config", "main",
+    "normal_form_census", "normal_form_with_multiplier", "nu2_extension",
+    "nu2_induced", "nu2_squares", "nu2_stab", "nu_classical", "nu_m",
+    "nu_twisted", "parse_group_spec", "reduction_check", "run_all",
+    "stabilizer", "sym", "sym_census", "sym_embed", "sym_prime", "tilde_sym",
+    "trivial", "two_power_rep", "vanishing_witness", "verify",
 ]

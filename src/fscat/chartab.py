@@ -17,7 +17,8 @@ deterministic.
 
 The map from elements to classes is private to this module.  Other modules
 read it through ClassData: index_of for one raw element, census for the class
-counts of many (every indicator sum reads such a census against a table).
+counts of many (every indicator sum reads such a census against a table),
+power_class for the class of a power.
 """
 from __future__ import annotations
 
@@ -37,9 +38,10 @@ class ClassData:
 
     Classes are sorted by (size, least image tuple of the class), which puts
     the identity first and fixes a reproducible column order for tables.
-    reps, sizes and members follow that order; members[j] lists the raw
-    image tuples of class j as the class BFS found them, and the BFS's one
-    dict from raw element to class serves index_of, census and class_of.
+    reps, sizes, orders (the element order of each class) and members follow
+    that order; members[j] lists the raw image tuples of class j as the class
+    BFS found them, and the BFS's one dict from raw element to class serves
+    index_of, census and power_class.
     """
 
     def __init__(self, group: PermGroup):
@@ -72,17 +74,11 @@ class ClassData:
         self._index = found
         self.reps = tuple(Permutation._from_raw(min(orbit)) for orbit in self.members)
         self.sizes = tuple(len(orbit) for orbit in self.members)
-        self._orders = tuple(rep.order for rep in self.reps)
+        self.orders = tuple(rep.order for rep in self.reps)
         self._pow_rows: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.reps)
-
-    def class_of(self, p: Permutation) -> int:
-        try:
-            return self._index[p._img]
-        except KeyError:
-            raise ValueError(f"{p!r} is not in the group") from None
 
     def index_of(self, raw: tuple[int, ...]) -> int | None:
         """Class of a raw image tuple, or None when it is not in the group."""
@@ -94,12 +90,9 @@ class ClassData:
         tally = Counter(map(self._index.__getitem__, raws))
         return [tally[j] for j in range(len(self.reps))]
 
-    def rep_order(self, j: int) -> int:
-        return self._orders[j]
-
     def power_class(self, j: int, t: int) -> int:
         """Index of the class containing the t-th power of class j."""
-        nj = self._orders[j]
+        nj = self.orders[j]
         row = self._pow_rows.get(j)
         if row is None:
             row = []
@@ -111,9 +104,6 @@ class ClassData:
             self._pow_rows[j] = row
         return row[t % nj]
 
-    def inverse_class(self, j: int) -> int:
-        return self._index[_inv(self.reps[j]._img)]
-
     def __repr__(self) -> str:
         return f"ClassData(order={self.group.order()}, classes={len(self.reps)})"
 
@@ -122,12 +112,6 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
     if group._class_data is None:
         group._class_data = ClassData(group)
     return group._class_data
-
-
-def is_ambivalent(group: PermGroup) -> bool:
-    """Whether every element is conjugate to its inverse."""
-    cd = conjugacy_classes(group)
-    return all(cd.inverse_class(j) == j for j in range(len(cd)))
 
 
 # -- characters -------------------------------------------------------------
@@ -156,16 +140,15 @@ class Character:
         return d
 
     def value(self, p: Permutation) -> Cyclotomic:
-        return self.values[self.classes.class_of(p)]
-
-    def conj(self) -> "Character":
-        return Character(self.classes, tuple(v.conj() for v in self.values))
+        j = self.classes.index_of(p._img)
+        if j is None:
+            raise ValueError(f"{p!r} is not in the group")
+        return self.values[j]
 
     def conjugated_by(self, u: Permutation) -> "Character":
         """The class function x -> chi(u^-1 x u); u must normalize the group."""
         ui = u.inverse()
-        vals = [self.values[self.classes.class_of(ui * rep * u)]
-                for rep in self.classes.reps]
+        vals = [self.value(ui * rep * u) for rep in self.classes.reps]
         return Character(self.classes, tuple(vals))
 
     def restrict(self, sub: PermGroup) -> "Character":
@@ -326,29 +309,6 @@ class CharacterTable:
         self.classes = classes
         self.characters = characters
 
-    def __len__(self) -> int:
-        return len(self.characters)
-
-    def __iter__(self):
-        return iter(self.characters)
-
-    def dump(self) -> str:
-        cd = self.classes
-        lines = [f"group of order {self.group.order()} with {len(cd)} classes"]
-        for j, rep in enumerate(cd.reps):
-            lines.append(f"  class {j}: rep {rep.to_text()}  size {cd.sizes[j]}"
-                         f"  order {cd.rep_order(j)}")
-        for i, chi in enumerate(self.characters):
-            vals = ", ".join(_fmt_value(v) for v in chi.values)
-            lines.append(f"chi{i}: {vals}")
-        return "\n".join(lines)
-
-
-def _fmt_value(v: Cyclotomic) -> str:
-    if v.is_rational():
-        return str(v.as_fraction())
-    return v.to_text(var=f"E({v.conductor})")
-
 
 def character_table(group: PermGroup) -> CharacterTable:
     """Exact character table, built once per group object by Dixon's method."""
@@ -361,7 +321,7 @@ def _dixon(group: PermGroup) -> CharacterTable:
     cd = conjugacy_classes(group)
     r = len(cd)
     n_g = group.order()
-    exponent = math.lcm(*cd._orders)
+    exponent = math.lcm(*cd.orders)
     lower = max(2 * math.isqrt(n_g) + 1, r)
     p = _choose_prime(exponent, lower, n_g)
 
@@ -409,13 +369,14 @@ def _dixon(group: PermGroup) -> CharacterTable:
     # recover degrees and mod-p character values from each eigenvector
     omega = pow(_primitive_root(p), (p - 1) // exponent, p)
     inv_sizes = [pow(h % p, -1, p) for h in cd.sizes]
+    inverse = [cd.power_class(j, -1) for j in range(r)]
     rows_mod = []
     for v in singles:
         if v[0] == 0:
             raise RuntimeError("eigenvector vanishes on the identity class")
         inv0 = pow(v[0], -1, p)
         alpha = [x * inv0 % p for x in v]
-        t = sum(alpha[j] * alpha[cd.inverse_class(j)] * inv_sizes[j]
+        t = sum(alpha[j] * alpha[inverse[j]] * inv_sizes[j]
                 for j in range(r)) % p
         dd = n_g * pow(t, -1, p) % p
         d = next((c for c in range(1, math.isqrt(n_g) + 1) if c * c % p == dd), None)
@@ -429,7 +390,7 @@ def _dixon(group: PermGroup) -> CharacterTable:
         d = row[0]
         vals: list[Cyclotomic] = [Cyclotomic.from_rational(d)]
         for j in range(1, r):
-            nj = cd.rep_order(j)
+            nj = cd.orders[j]
             wj_inv = pow(pow(omega, exponent // nj, p), -1, p)
             samples = [row[cd.power_class(j, t)] for t in range(nj)]
             nj_inv = pow(nj, -1, p)

@@ -290,16 +290,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         code, text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (BoundExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         config.ENUMERATION_BOUND, config.INDEX_BOUND = saved
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -210,10 +210,8 @@ class Cyclotomic:
     def __init__(self, n: int, coeffs):
         if n < 1:
             raise ValueError("conductor must be positive")
-        fracs = [Fraction(v) for v in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        vec = _reduce_ints(n, [int(f * den) for f in fracs])
-        self.n, self.num, self.den = _normalized(n, vec, den)
+        x = Cyclotomic.from_exponents(n, dict(enumerate(coeffs)))
+        self.n, self.num, self.den = x.n, x.num, x.den
 
     @classmethod
     def _raw(cls, n: int, num: tuple[int, ...], den: int) -> "Cyclotomic":
@@ -276,10 +274,6 @@ class Cyclotomic:
         return (self.n, self.den, self.num)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _lift(self, big: int) -> list[Fraction]:
-        """Coefficients of this value over the power basis at conductor big."""
-        return [Fraction(v, self.den) for v in self._lift_num(big)]
 
     def _lift_num(self, big: int) -> list[int]:
         """Numerator vector of this value at conductor big (a multiple of self.n)."""
@@ -395,6 +389,11 @@ class Cyclotomic:
         return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
+        # equal to the hash of the int or Fraction this value equals
+        if self.n == 1:
+            if self.den == 1:
+                return hash(self.num[0])
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.n, self.den, self.num))
 
     # -- text ---------------------------------------------------------------
@@ -429,8 +428,3 @@ class Cyclotomic:
 
 ZERO = Cyclotomic._raw(1, (0,), 1)
 ONE = Cyclotomic._raw(1, (1,), 1)
-
-
-def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
-    """zeta_n^k in canonical form."""
-    return Cyclotomic.zeta(n, k)

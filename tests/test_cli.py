@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -105,6 +106,24 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert main(["--out", str(a)] + argv) == 0
     assert main(["--out", str(b)] + argv) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    before = config.ENUMERATION_BOUND, config.INDEX_BOUND
+    out = tmp_path / "missing" / "x.txt"
+    assert main(["--out", str(out), "--enum-bound", "100",
+                 "census", "--l", "3", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == "" and not out.exists()
+    assert (config.ENUMERATION_BOUND, config.INDEX_BOUND) == before
+
+
+def test_all_names_the_public_package_surface():
+    public = {name for name, value in vars(fscat).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert sorted(fscat.__all__) == sorted(public)
+    assert all(getattr(fscat, name) is not None for name in fscat.__all__)
 
 
 def test_not_a_subgroup_is_a_usage_error(capsys):

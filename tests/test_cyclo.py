@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from fscat.cyclo import ONE, ZERO, Cyclotomic, root_of_unity
+from fscat.cyclo import ONE, ZERO, Cyclotomic
 
 z = Cyclotomic.zeta
 
 
 def test_roots_of_unity_basics():
-    assert root_of_unity(1) == 1
-    assert root_of_unity(2) == -1
-    assert root_of_unity(4, 2) == -1
-    assert root_of_unity(4, 4) == 1
-    i = root_of_unity(4)
+    assert z(1) == 1
+    assert z(2) == -1
+    assert z(4, 2) == -1
+    assert z(4, 4) == 1
+    i = z(4)
     assert i * i == -1
     assert i.conductor == 4
 
@@ -79,7 +79,8 @@ def test_from_exponents():
 def test_promotion_round_trip():
     x = 2 + z(9) - z(9, 4)
     for m in (2, 4, 5):
-        lifted = Cyclotomic(9 * m, x._lift(9 * m))
+        coeffs = [Fraction(v, x.den) for v in x._lift_num(9 * m)]
+        lifted = Cyclotomic(9 * m, coeffs)
         assert lifted == x
         assert lifted.conductor == 9
 
@@ -106,6 +107,24 @@ def test_hash_consistency():
     b = z(3)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, z(3, 2)}) == 2
+
+
+def test_equal_rationals_hash_equal():
+    # a value equal to an int or Fraction must hash like it, so that sets and
+    # dicts mixing them do not hold one value twice
+    q = Cyclotomic.from_rational
+    for v in (0, 1, -1, 7, -12, 10**30, Fraction(1, 2), Fraction(-3, 7),
+              Fraction(10**20, 3)):
+        assert q(v) == v and hash(q(v)) == hash(v), v
+    assert len({1, ONE}) == 1 and len({0, ZERO}) == 1
+    assert len({Fraction(1, 2), q(Fraction(1, 2))}) == 1
+    assert hash(z(8) * z(8, 7)) == hash(1)
+    assert hash(z(3) + z(3, 2)) == hash(-1)
+    assert hash(Cyclotomic(4, [Fraction(1, 2), 0])) == hash(Fraction(1, 2))
+    # non-rational values: equal forms hash equal, and sets tell them apart
+    vals = [z(4), z(8), z(8) + z(8, 7), z(5).scaled(Fraction(1, 2))]
+    assert all(hash(v) == hash(Cyclotomic(v.n, v.c)) for v in vals)
+    assert len(set(vals) | {1, Fraction(1, 2)}) == 6
 
 
 # conductor pool skips the large primes 13, 17, 19, 23: they add nothing
