@@ -33,6 +33,20 @@ k*h*c*H*k^-1 = (k*h*k^-1)*(k*c*k^-1)*H.  It records its k
 (DoubleCoset.root, DoubleCoset.conj), from which indicators.category_scan
 moves the root's rows.
 
+U also tells where the roots are.  It centralizes H and meets it trivially,
+so K = H*U is a group, the direct product H x U.  A double coset K*g*K is
+the union of the H-double cosets a*(HgH)*b = a*(HgH*ba)*a^-1 over a, b in U:
+the U-conjugates of the right translates HgH*u = H*gu*H.  So the walk needs
+one seed per double coset of K, not a list of the [G:H] left cosets of H:
+the least left coset of K in each orbit of K on its [G:K] left cosets.
+That coset is canonical for H too, since its least element is least in its
+own left coset of H.  From a seed, the folds close the H-double cosets found
+under conjugation by U, and right moves rep*u by U's generators close them
+under right translation, so together they reach every H-double coset in
+K*g*K.  On C(S10, Sym{1..5}) the 252 left cosets of K seed the walk instead
+of the 30,240 of H.  When U is trivial, K is H and every left coset of H is
+a seed.
+
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
 holds two moved letters of the subgroup, which decides whether the double
@@ -94,7 +108,8 @@ class DoubleCoset:
 
     stab_gens generate the stabilizer S(rep) = sub & rep*sub*rep^-1, as raw
     0-based image tuples; they are Schreier generators recorded by the orbit
-    walk that found the double coset, or conjugates of a root's.
+    walk that found the double coset, moved to rep, or conjugates of a
+    root's.
     self_inverse tells whether rep^-1 lies in sub*rep*sub, that is whether
     the left coset rep^-1*sub was reached by the same walk.  It holds exactly
     when some element of rep*sub squares into sub: if rep^-1 = h1*rep*h2
@@ -197,51 +212,115 @@ def _free_letter_gens(group: PermGroup, sub: PermGroup
     return []
 
 
+def _double_coset_seeds(group: PermGroup, hu: PermGroup, scale: int
+                        ) -> list[tuple[tuple[int, ...], int]]:
+    """The least canonical left coset of hu in each double coset hu*g*hu,
+    found by a walk of hu's generators on its left cosets, with the number
+    of its left cosets times scale."""
+    gens = [g._img for g in hu.generators]
+    seen = set()
+    seeds = []
+    for p in left_coset_reps(group, hu):
+        if p._img in seen:
+            continue
+        seen.add(p._img)
+        queue = [p._img]
+        for c in queue:
+            for s in gens:
+                nxt = hu.coset_min(_mul(s, c))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        seeds.append((p._img, len(queue) * scale))
+    return seeds
+
+
 def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     """Double cosets of sub in group, sorted by canonical representative.
 
-    The least left coset not yet visited starts a root: its orbit walk sifts
-    generators of S(root) and decides self_inverse.  The root's images under
-    the free-letter generators u (and their images in turn) are folded: with
-    k = u*k_src, the orbit of k*root*k^-1, if its left coset is unvisited, is
-    the root's orbit mapped through c -> k*c*k^-1, one coset_min per left
-    coset and no walk.  Its least coset rep is the image of some c in the
-    root's orbit, so conj = k*trans[c] carries the root to rep, and its data
-    are the root's, conjugated by conj.
+    The index [group : sub] is checked first, so a skip names that bound.
+    The seeds are one left coset of K = sub x U per double coset K*g*K, or
+    every left coset of sub when U is trivial.  Each seed starts a work list
+    of candidate roots.  A candidate whose left coset is already placed is
+    skipped.  Otherwise its orbit walk sifts generators of S(start) and
+    decides self_inverse, and the orbit's least coset becomes the root:
+    t = trans[root] carries start to it, so S(root) = t*S(start)*t^-1.  The
+    root's images under the free-letter generators u (and their images in
+    turn) are folded: with k = u*k_src, the orbit of k*root*k^-1, if its
+    left coset is not placed, is the root's orbit mapped through
+    c -> k*c*k^-1, one coset_min per left coset and no walk.  Its least
+    coset rep is the image of some c in the root's orbit, so
+    conj = k*trans[c]*t^-1 carries the root to rep, and its data are the
+    root's, conjugated by conj.  Every double coset placed, root or folded,
+    adds its right moves rep*u to the work list.  A seed's work ends once
+    every left coset of K*seed*K is placed.
     """
-    reps = left_coset_reps(group, sub)
-    # the left cosets not yet visited; holding reps' own tuples, the set adds
-    # no copy of any coset
-    unvisited = {p._img for p in reps}
+    _coset_index(group, sub)
     h_order = sub.order()
     gens = [g._img for g in sub.generators]
     free = _free_letter_gens(group, sub)
     idt = _identity(group.degree)
+    if free:
+        hu = PermGroup(group.degree,
+                       [*sub.generators, *map(Permutation._from_raw, free)])
+        seeds = _double_coset_seeds(group, hu, hu.order() // h_order)
+    else:
+        # K = sub: every left coset is a seed, and with nothing to fold or
+        # move, no seed's work needs a count
+        seeds = [(p._img, math.inf) for p in left_coset_reps(group, sub)]
+    # the left cosets already placed in a double coset.  A bytes key takes a
+    # third of a tuple's memory at degree 10; keeping the tuples themselves
+    # scatters them among the long-lived objects the walk creates, which
+    # raised the scan's peak RSS.  Past 256 letters the tuple is its own key.
+    key = bytes if group.degree <= 256 else tuple
+    placed: set = set()
     # rep -> (n_left, stab_gens, self_inverse, root's rep, conj)
     found: dict[tuple[int, ...], tuple] = {}
-    for start_p in reps:
-        root = start_p._img
-        if root not in unvisited:
-            continue
-        orbit, trans, stab_gens, self_inverse = _coset_orbit(root, sub, gens)
-        unvisited.difference_update(orbit)
-        found[root] = (len(orbit), stab_gens, self_inverse, root, idt)
-        queue = [idt]
-        for k_src in queue:
-            for u in free:
-                k = _mul(u, k_src)
-                k_inv = _inv(k)
-                if sub.coset_min(_mul(_mul(k, root), k_inv)) not in unvisited:
-                    continue
-                image = [sub.coset_min(_mul(_mul(k, c), k_inv)) for c in orbit]
-                rep = min(image)
-                conj = _mul(k, trans[orbit[image.index(rep)]])
-                conj_inv = _inv(conj)
-                moved = tuple(_mul(_mul(conj, x), conj_inv) for x in stab_gens)
-                assert all(sub.coset_min(_mul(x, rep)) == rep for x in moved)
-                unvisited.difference_update(image)
-                found[rep] = (len(orbit), moved, self_inverse, root, conj)
-                queue.append(conj)
+    for seed, left in seeds:
+        # left: the left cosets of K*seed*K not yet placed; work: the seed,
+        # then the right moves (rep, u) of each double coset placed
+        work = [(seed, None)]
+        for y, right in work:
+            if left <= 0:
+                break
+            start = y if right is None else sub.coset_min(_mul(y, right))
+            if key(start) in placed:
+                continue
+            orbit, trans, stab_gens, self_inverse = _coset_orbit(start, sub,
+                                                                 gens)
+            placed.update(map(key, orbit))
+            left -= len(orbit)
+            root = min(orbit)
+            # t in sub carries start*sub to root*sub, so trans[c]*t^-1
+            # carries root*sub to c*sub and S(root) = t*S(start)*t^-1
+            t = trans[root]
+            t_inv = _inv(t)
+            stab_gens = tuple(_mul(_mul(t, x), t_inv) for x in stab_gens)
+            found[root] = (len(orbit), stab_gens, self_inverse, root, idt)
+            work += [(root, u) for u in free]
+            queue = [idt]
+            for k_src in queue:
+                for u in free:
+                    if left <= 0:
+                        break
+                    k = _mul(u, k_src)
+                    k_inv = _inv(k)
+                    if key(sub.coset_min(_mul(_mul(k, root), k_inv))) in placed:
+                        continue
+                    image = [sub.coset_min(_mul(_mul(k, c), k_inv))
+                             for c in orbit]
+                    rep = min(image)
+                    conj = _mul(k, _mul(trans[orbit[image.index(rep)]], t_inv))
+                    conj_inv = _inv(conj)
+                    moved = tuple(_mul(_mul(conj, x), conj_inv)
+                                  for x in stab_gens)
+                    assert all(sub.coset_min(_mul(x, rep)) == rep
+                               for x in moved)
+                    placed.update(map(key, image))
+                    left -= len(image)
+                    found[rep] = (len(orbit), moved, self_inverse, root, conj)
+                    queue.append(conj)
+                    work += [(rep, u) for u in free]
     where = {p: j for j, p in enumerate(sorted(found))}
     out = tuple(DoubleCoset(rep=Permutation._from_raw(p), n_left=n_left,
                             size=n_left * h_order, stab_gens=stab_gens,

@@ -248,10 +248,6 @@ class Cyclotomic:
     # -- queries ------------------------------------------------------------
 
     @property
-    def conductor(self) -> int:
-        return self.n
-
-    @property
     def c(self) -> tuple[Fraction, ...]:
         """Coefficients over the power basis of the minimal field, as fractions."""
         return tuple(Fraction(v, self.den) for v in self.num)

@@ -368,13 +368,22 @@ class IndicatorReport:
     def values(self) -> tuple[int, ...]:
         return tuple(e.nu for e in self.entries)
 
+    def _rep_texts(self) -> list[str]:
+        """The text of each entry's rep, computed once per distinct rep: the
+        rows of one double coset share its rep."""
+        texts: dict[Permutation, str] = {}
+        for e in self.entries:
+            if e.rep not in texts:
+                texts[e.rep] = e.rep.to_text()
+        return [texts[e.rep] for e in self.entries]
+
     def to_json(self) -> str:
         payload = {
             "category": {"G_spec": self.group_label, "H_spec": self.sub_label},
             "m": self.m,
-            "entries": [{"rep": e.rep.to_text(), "stab_order": e.stab_order,
+            "entries": [{"rep": text, "stab_order": e.stab_order,
                          "chi_degree": e.chi_degree, "nu": e.nu}
-                        for e in self.entries],
+                        for e, text in zip(self.entries, self._rep_texts())],
             "summary": {str(k): v for k, v in self.summary.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -383,8 +392,8 @@ class IndicatorReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["rep", "stab_order", "chi_degree", "nu"])
-        for e in self.entries:
-            writer.writerow([e.rep.to_text(), e.stab_order, e.chi_degree, e.nu])
+        for e, text in zip(self.entries, self._rep_texts()):
+            writer.writerow([text, e.stab_order, e.chi_degree, e.nu])
         return out.getvalue()
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fscat import config, cosets
+from fscat.indicators import category_scan
 from test_indicators import gens_pairs
 from fscat.cosets import (
     BoundExceeded,
@@ -23,6 +24,8 @@ from fscat.cosets import (
 )
 from fscat.perm import (
     Permutation,
+    _inv,
+    _mul,
     PermGroup,
     alt,
     alt_embed,
@@ -104,19 +107,24 @@ def test_rejects_non_subgroup():
 
 
 def test_double_cosets_match_brute_partition():
+    # Each block a*rep*b is a double coset; blocks with distinct least
+    # elements are disjoint, and sizes summing to |G| cover G.  The last two
+    # pairs fix letters, so their roots come from several double cosets of
+    # H x U, with U the permutations of those letters.
     for group, sub in [(sym(4), sym_embed(2, 4)), (sym(5), sym_embed(3, 5)),
-                       (sym(5), sym_embed(2, 5)), (sym(5), cyclic(5))]:
+                       (sym(5), sym_embed(2, 5)), (sym(5), cyclic(5)),
+                       (sym(9), tilde_sym(7, degree=9)),
+                       (alt(9), alt_embed(5, 9))]:
         dec = double_cosets(group, sub)
-        blocks = brute_double_cosets(group, sub)
-        assert len(dec) == len(blocks)
-        assert sorted(dc.size for dc in dec) == sorted(len(b) for b in blocks)
-        assert sum(dc.size for dc in dec) == group.order()
-        by_rep = {min(b): b for b in blocks}
+        members = sub.element_tuples()
         for dc in dec:
-            assert dc.size == dc.n_left * sub.order()
-            assert len(by_rep[dc.rep._img]) == dc.n_left * sub.order()
-            assert dc.self_inverse == (dc.rep.inverse()._img
-                                       in by_rep[dc.rep._img])
+            left = [_mul(dc.rep._img, b) for b in members]
+            block = {_mul(a, y) for a in members for y in left}
+            assert min(block) == dc.rep._img
+            assert len(block) == dc.size == dc.n_left * sub.order()
+            assert dc.self_inverse == (_inv(dc.rep._img) in block)
+        assert len({dc.rep for dc in dec}) == len(dec)
+        assert sum(dc.size for dc in dec) == group.order()
         assert_orbit_stabilizers(dec)
 
 
@@ -156,6 +164,8 @@ FOLD_CASES = {
     "S6-Sym2..5": (lambda: (sym(6), PermGroup(6, [P("(2,3)", 6),
                                                    P("(2,3,4,5)", 6)])),
                    (7, 5)),
+    "S9-tildeS7": (lambda: (sym(9), tilde_sym(7, degree=9)), (136, 80)),
+    "A9-Alt5": (lambda: (alt(9), alt_embed(5, 9)), (210, 28)),
 }
 
 
@@ -243,6 +253,57 @@ def test_trivial_free_letter_group_folds_nothing(group, sub):
     for i, dc in enumerate(double_cosets(group, sub)):
         assert dc.root == i
         assert dc.conj == idt
+
+
+def count_coset_min(monkeypatch):
+    calls = []
+    coset_min = PermGroup.coset_min
+
+    def counting(self, y):
+        calls.append(1)
+        return coset_min(self, y)
+
+    monkeypatch.setattr(PermGroup, "coset_min", counting)
+    return calls
+
+
+def test_double_cosets_seed_from_the_cosets_of_h_times_u(monkeypatch):
+    # 252 left cosets of Sym{1..5} x Sym{6..10} seed the walk, not the
+    # 30,240 of Sym{1..5}; listing those alone takes about 60,000 calls
+    group, sub = sym(10), sym_embed(5, 10)
+    group.order(), sub.order()
+    calls = count_coset_min(monkeypatch)
+    dec = double_cosets(group, sub)
+    assert (len(dec), len({dc.root for dc in dec})) == (1546, 36)
+    assert len(calls) <= 40_000
+
+
+def test_double_cosets_walk_alone_when_no_letter_is_free(monkeypatch):
+    # tilde S8 fixes one letter of 11: U is trivial and H x U is H, so the
+    # walk lists the 990 left cosets of H once and takes no second walk
+    group, sub = sym(11), tilde_sym(10, degree=11)
+    group.order(), sub.order()
+    calls = count_coset_min(monkeypatch)
+    assert len(double_cosets(group, sub)) == 24
+    assert len(calls) == 3985
+
+
+def test_double_cosets_check_the_index_of_h_not_of_h_times_u(monkeypatch):
+    # [S8 : Sym{1..4}] = 1680 but [S8 : Sym{1..4} x Sym{5..8}] = 70
+    monkeypatch.setattr(config, "INDEX_BOUND", 1000)
+    for run in (double_cosets, lambda g, h: category_scan(g, h, 2)):
+        with pytest.raises(BoundExceeded) as exc:
+            run(sym(8), sym_embed(4, 8))
+        assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == \
+            ("index bound", 1000, 1680)
+
+
+def test_double_cosets_beyond_byte_sized_letters():
+    # letters past 255 do not fit a byte, so placed cosets take another key
+    group = PermGroup(300, [P("(1,2,3)", 300), P("(4,5)", 300)])
+    sub = PermGroup(300, [P("(1,2,3)", 300)])
+    dec = double_cosets(group, sub)
+    assert [dc.rep.to_text() for dc in dec] == ["()", "(4,5)"]
 
 
 def test_double_coset_reps_are_minimal_and_sorted():

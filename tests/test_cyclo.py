@@ -18,16 +18,16 @@ def test_roots_of_unity_basics():
     assert z(4, 4) == 1
     i = z(4)
     assert i * i == -1
-    assert i.conductor == 4
+    assert i.n == 4
 
 
 def test_conductor_is_minimal():
     # the sixth root lives in the field of third roots
-    assert z(6).conductor == 3
+    assert z(6).n == 3
     assert z(6) == 1 + z(3)
-    assert (z(8) * z(8, 7)).conductor == 1
-    assert (z(5) + z(5, 4)).conductor == 5
-    assert Cyclotomic(12, [0, 0, 0, 1]).conductor == 4  # zeta_12^3 = i
+    assert (z(8) * z(8, 7)).n == 1
+    assert (z(5) + z(5, 4)).n == 5
+    assert Cyclotomic(12, [0, 0, 0, 1]).n == 4  # zeta_12^3 = i
 
 
 def test_primitive_root_sums_vanish():
@@ -82,7 +82,7 @@ def test_promotion_round_trip():
         coeffs = [Fraction(v, x.den) for v in x._lift_num(9 * m)]
         lifted = Cyclotomic(9 * m, coeffs)
         assert lifted == x
-        assert lifted.conductor == 9
+        assert lifted.n == 9
 
 
 def test_scaled_and_zero():

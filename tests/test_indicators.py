@@ -1,6 +1,7 @@
 """Indicator formulas, their shortcut routes, and the category scan."""
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import random
@@ -324,6 +325,29 @@ def test_scan_report_serialization():
                           group_label="sym:4", sub_label="alt:4")
     assert again.to_json() == report.to_json()
     assert again.to_csv() == report.to_csv()
+
+
+def test_report_writes_each_rep_text_once(monkeypatch):
+    report = category_scan(sym(6), sym_embed(3, 6), 2)
+    rows = [(e.rep.to_text(), e.stab_order, e.chi_degree, e.nu)
+            for e in report.entries]
+    reps = {e.rep for e in report.entries}
+    assert len(reps) < len(rows)
+    texts = []
+    to_text = Permutation.to_text
+
+    def counting_to_text(self, *args):
+        texts.append(self)
+        return to_text(self, *args)
+
+    monkeypatch.setattr(Permutation, "to_text", counting_to_text)
+    payload = json.loads(report.to_json())
+    assert len(texts) == len(reps)
+    lines = report.to_csv().splitlines()
+    assert len(texts) == 2 * len(reps)
+    assert [(r["rep"], r["stab_order"], r["chi_degree"], r["nu"])
+            for r in payload["entries"]] == rows
+    assert list(csv.reader(lines[1:])) == [list(map(str, row)) for row in rows]
 
 
 def defining_sum_rows(group, sub, m):
