@@ -1,40 +1,119 @@
-"""Exact character tables of permutation groups.
+"""Exact character tables of permutation groups, by one of two routes.
 
-Tables come from Dixon's method: the class-sum algebra acts on itself through
-integer class matrices, their common eigenvectors over a prime field F_p
-(p = 1 mod exp(G), p large enough to separate degrees) recover the characters
-mod p, and a discrete Fourier transform over each class lifts the mod-p values
-to exact cyclotomic integers.  Verification of the degree sum and of row
-orthogonality runs on every construction.
+Young and signed-Young groups.  Let O_1, ..., O_J be the orbits (of two or
+more points) of a group S, and Y = Sym(O_1) x ... x Sym(O_J) their Young
+subgroup, so S <= Y.  If |S| = prod |O_j|!, then S = Y.  If |S| is half
+that, S has index 2 in Y, contains Y's commutator subgroup prod Alt(O_j),
+and so is the kernel K of eps_I(y) = prod_{j in I} sgn(y on O_j) for one
+nonempty set I of orbits: the one nonzero vector of F_2^J orthogonal to the
+orbit-sign vector of every generator.  Only the chain and the generators are
+read.  Every other group goes to Dixon's method below.
 
-The eigenspaces are split as in Schneider, "Dixon's character table algorithm
-revisited" (J. Symbolic Comput. 9, 1990): one class matrix at a time, smallest
-class first, each splitting every space left by the ones before, until all
-spaces are one-dimensional.  The matrix of class C costs |C| * r products for
-r classes, against |G| * r for all r^3 structure constants, and the split
-often ends after a few small classes (two of the 22 for S_8).  It is
-deterministic.
+Classes.  A class of Y is a tuple of partitions mu = (mu_j), the cycle types
+on the orbits, of size prod |O_j|!/z_{mu_j}.  K holds the classes with
+sum_{j in I} (|O_j| - len(mu_j)) even.  The centralizer of x in Y is the
+product of its centralizers in the Sym(O_j), and lies in K exactly when each
+of those for j in I lies in Alt(O_j), that is when every mu_j, j in I, has
+distinct odd parts (the A_n rule).  Exactly those classes split in K.  The
+least element of a class of Y puts, on each orbit's points in increasing
+order, cycles of consecutive points with the parts ascending.  Call it r.
+x in the class lies in r's half exactly when pi*x*pi^-1 = r for some pi in
+Y with eps_I(pi) = +1.  On each j in I, pi sends the cycles of x, shortest
+first, onto those of r; an odd cycle may start anywhere.  In one orbit, the
+least element of the other half is r with the last two points of its
+longest cycle swapped, r conjugated by a transposition; the least of K's
+other half flips the one orbit of I whose flip leaves the longest prefix of
+r.  Columns are sorted by (size, least element), as the class BFS sorts
+them.
+
+Characters.  Irr(Y) is the products chi_lam = (x) chi_{lam_j}, valued
+prod_j chi_{lam_j}(mu_j) by Murnaghan-Nakayama (Sagan, The Symmetric Group,
+section 4.10).  chi_lam * eps_I = chi_lam* with lam*_j the conjugate
+partition for j in I, so by Clifford theory chi_lam|K is irreducible, and
+equal to chi_lam*|K, unless lam = lam*.  Then it is psi+ + psi-, with
+psi+- = (chi_lam|K +- Delta)/2.  For Delta, let K_0 = prod_{j in I}
+Alt(O_j) x prod_{j not in I} Sym(O_j), normal in Y and of index 2^(|I|-1) in
+K.  For j in I, chi_{lam_j} restricts to Alt(O_j) as phi_j+ + phi_j-, so
+chi_lam|K_0 is the sum over signs s of theta_s = (x)_{j in I} phi_j^{s_j}
+(x) (x)_{j not in I} chi_{lam_j}.  K permutes the theta_s through the signs
+of even weight, in two orbits of size |K : K_0|: psi+ and psi- are induced
+from K_0, vanish off K_0, and
+    Delta = prod_{j in I} (phi_j+ - phi_j-) * prod_{j not in I} chi_{lam_j}.
+By Frobenius' rule for A_n (James and Kerber, section 2.5), phi_j+ - phi_j-
+vanishes off the class h(lam_j) of diagonal hook lengths and is
++-sqrt(e_j * prod h(lam_j)) on its two halves, e_j = (-1)^((|O_j| -
+len h(lam_j))/2).  So Delta is zero off the classes mu with mu_j = h(lam_j)
+for all j in I; on them it is +-R * prod_{j not in I} chi_{lam_j}(mu_j),
+with R^2 = prod_{j in I} e_j * prod h(lam_j) and the sign of the half.
+Changing the sign of R only swaps psi+ and psi-, so any square root does.
+Every e_j * prod h is 1 mod 4, so R is f times a product of quadratic Gauss
+sums.  Values are built with Cyclotomic.from_rational and from_exponents, so
+they are the canonical values Dixon's method gives.
+
+Dixon's method.  The class BFS (ClassData) lists every class, and the
+class-sum algebra acts on itself through integer class matrices.  Their
+common eigenvectors over a prime field F_p (p = 1 mod exp(G), p large
+enough to separate degrees) recover the characters mod p, and a discrete
+Fourier transform over each class lifts the mod-p values to exact
+cyclotomic integers.  The eigenspaces are split as in Schneider, "Dixon's
+character table algorithm revisited" (J. Symbolic Comput. 9, 1990): one
+class matrix at a time, smallest class first, each splitting every space
+left by the ones before, until all spaces are one-dimensional.  The matrix
+of class C costs |C| * r products for r classes, and the split often ends
+after a few small classes (two of the 22 for S_8).  It is deterministic.
+
+Both routes check the degree sum and the orthonormality of every pair of
+rows, and sort the rows by degree, then by values.  Both refuse a group
+over the enumeration bound, as the class BFS does.
 
 The map from elements to classes is private to this module.  Other modules
-read it through ClassData: index_of for one raw element, census for the class
-counts of many (every indicator sum reads such a census against a table),
-power_class for the class of a power.
+read it through the class object: index_of for one raw element, census for
+the class counts of many (every indicator sum reads such a census against a
+table), power_class for the class of a power.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+from . import config
 from .cyclo import ZERO, Cyclotomic, _prime_factors
-from .perm import Permutation, PermGroup, _inv, _mul
+from .perm import BoundExceeded, Permutation, PermGroup, _inv, _mul
 
 
 # -- conjugacy classes ------------------------------------------------------
 
 
-class ClassData:
-    """Conjugacy classes of a finite permutation group.
+class _Classes:
+    """What both class objects share: the power maps, read through
+    index_of."""
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def power_class(self, j: int, t: int) -> int:
+        """Index of the class containing the t-th power of class j."""
+        nj = self.orders[j]
+        row = self._pow_rows.get(j)
+        if row is None:
+            row = []
+            cur = self.reps[0]._img
+            base = self.reps[j]._img
+            for _ in range(nj):
+                row.append(self.index_of(cur))
+                cur = _mul(cur, base)
+            self._pow_rows[j] = row
+        return row[t % nj]
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(order={self.group.order()}, "
+                f"classes={len(self.reps)})")
+
+
+class ClassData(_Classes):
+    """Conjugacy classes of a finite permutation group, by a BFS over it.
 
     Classes are sorted by (size, least image tuple of the class), which puts
     the identity first and fixes a reproducible column order for tables.
@@ -77,9 +156,6 @@ class ClassData:
         self.orders = tuple(rep.order for rep in self.reps)
         self._pow_rows: dict[int, list[int]] = {}
 
-    def __len__(self) -> int:
-        return len(self.reps)
-
     def index_of(self, raw: tuple[int, ...]) -> int | None:
         """Class of a raw image tuple, or None when it is not in the group."""
         return self._index.get(raw)
@@ -90,27 +166,242 @@ class ClassData:
         tally = Counter(map(self._index.__getitem__, raws))
         return [tally[j] for j in range(len(self.reps))]
 
-    def power_class(self, j: int, t: int) -> int:
-        """Index of the class containing the t-th power of class j."""
-        nj = self.orders[j]
-        row = self._pow_rows.get(j)
-        if row is None:
-            row = []
-            cur = self.reps[0]._img
-            base = self.reps[j]._img
-            for _ in range(nj):
-                row.append(self._index[cur])
-                cur = _mul(cur, base)
-            self._pow_rows[j] = row
-        return row[t % nj]
 
-    def __repr__(self) -> str:
-        return f"ClassData(order={self.group.order()}, classes={len(self.reps)})"
+def _partitions(m: int, most: int | None = None):
+    """Partitions of m with parts at most most, largest part first."""
+    if m == 0:
+        yield ()
+        return
+    for k in range(min(m, most or m), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
 
 
-def conjugacy_classes(group: PermGroup) -> ClassData:
+def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 for part in lam if part > k) for k in range(lam[0] if lam else 0))
+
+
+def _centralizer_order(mu: tuple[int, ...]) -> int:
+    """z_mu = prod_k k^a_k * a_k!, with a_k parts equal to k."""
+    return math.prod(k ** a * math.factorial(a) for k, a in Counter(mu).items())
+
+
+def _splits(mu: tuple[int, ...]) -> bool:
+    """Whether the cycle type mu has distinct odd parts."""
+    return len(set(mu)) == len(mu) and all(part % 2 for part in mu)
+
+
+def _parity(word: list[int]) -> int:
+    """0 for an even permutation i -> word[i] of range(len(word)), 1 for odd."""
+    seen = [False] * len(word)
+    moved = 0
+    for i in range(len(word)):
+        if not seen[i]:
+            j = word[i]
+            seen[i] = True
+            while j != i:
+                seen[j] = True
+                moved += 1
+                j = word[j]
+    return moved & 1
+
+
+def _young_shape(group: PermGroup
+                 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """(orbits, signed) when group is the Young subgroup of its orbits
+    (signed empty) or the kernel of eps_I in it (signed lists I), else None.
+
+    orbits holds each orbit of two or more points as a sorted tuple, ordered
+    by least point.
+    """
+    n = group.degree
+    where = [-1] * n
+    orbits = []
+    for p in range(n):
+        if where[p] >= 0:
+            continue
+        orbit = [p]
+        where[p] = len(orbits)
+        for q in orbit:
+            for g in group.generators:
+                r = g._img[q]
+                if where[r] < 0:
+                    where[r] = len(orbits)
+                    orbit.append(r)
+        orbits.append(orbit)
+    orbits = [tuple(sorted(o)) for o in orbits if len(o) > 1]
+    full = math.prod(math.factorial(len(o)) for o in orbits)
+    if group.order() == full:
+        return tuple(orbits), ()
+    if 2 * group.order() != full:
+        return None
+    # the orbit-sign vectors of the generators span a hyperplane of F_2^J;
+    # reduce them (bit j for orbit j) and read off its orthogonal vector
+    rank = {p: i for o in orbits for i, p in enumerate(o)}
+    rows: dict[int, int] = {}
+    for g in group.generators:
+        v = 0
+        for j, o in enumerate(orbits):
+            v |= _parity([rank[g._img[p]] for p in o]) << j
+        for b, row in rows.items():
+            if v >> b & 1:
+                v ^= row
+        if v:
+            b = v.bit_length() - 1
+            for c in rows:
+                if rows[c] >> b & 1:
+                    rows[c] ^= v
+            rows[b] = v
+    free = [b for b in range(len(orbits)) if b not in rows]
+    assert len(free) == 1
+    f = free[0]
+    signed = sorted([f] + [b for b, row in rows.items() if row >> f & 1])
+    return tuple(orbits), tuple(signed)
+
+
+class YoungClasses(_Classes):
+    """Conjugacy classes of a Young or signed-Young group, read off
+    partitions (see the module docstring); no element is listed.
+
+    reps, sizes and orders follow ClassData's column order.  Column j stands
+    for the cycle types _labels[j][0], one partition per orbit, and the half
+    _labels[j][1]: 0 for an unsplit class or the half of its least element,
+    1 for the other half.
+    """
+
+    def __init__(self, group: PermGroup, orbits: tuple[tuple[int, ...], ...],
+                 signed: tuple[int, ...]):
+        limit = config.ENUMERATION_BOUND
+        if group.order() > limit:
+            raise BoundExceeded("enumeration bound", limit, group.order())
+        self.group = group
+        self._orbits = orbits
+        self._signed = signed
+        n = group.degree
+        self._orbit_of = [-1] * n
+        self._rank = [0] * n
+        # a cycle of length k in orbit j adds (n + 1)^(shift_j + k - 1) to
+        # an element's key, with shift_j the points of the orbits before j;
+        # no orbit has n + 1 cycles of one length, so keys are cycle types
+        self._weight = []
+        shift = 0
+        for j, o in enumerate(orbits):
+            for i, p in enumerate(o):
+                self._orbit_of[p] = j
+                self._rank[p] = i
+            self._weight.append([0] + [(n + 1) ** (shift + k - 1)
+                                       for k in range(1, len(o) + 1)])
+            shift += len(o)
+        cols = []
+        for mu in product(*(_partitions(len(o)) for o in orbits)):
+            if sum(len(orbits[j]) - len(mu[j]) for j in signed) % 2:
+                continue
+            size = math.prod(math.factorial(len(o)) // _centralizer_order(m)
+                             for o, m in zip(orbits, mu))
+            least = self._least(mu)
+            order = math.lcm(*(part for m in mu for part in m))
+            if signed and all(_splits(mu[j]) for j in signed):
+                cols.append((size // 2, least, order, mu, 0))
+                cols.append((size // 2, self._least_other(least, mu), order, mu, 1))
+            else:
+                cols.append((size, least, order, mu, 0))
+        cols.sort()
+        self.reps = tuple(Permutation._from_raw(c[1]) for c in cols)
+        self.sizes = tuple(c[0] for c in cols)
+        self.orders = tuple(c[2] for c in cols)
+        self._labels = tuple((c[3], c[4]) for c in cols)
+        # cycle-type keys -> columns, by half
+        self._where: dict[int, list[int]] = {}
+        for j, (mu, _) in enumerate(self._labels):
+            key = sum(w[part] for w, m in zip(self._weight, mu) for part in m)
+            self._where.setdefault(key, []).append(j)
+        self._pow_rows: dict[int, list[int]] = {}
+
+    def _least(self, mu) -> tuple[int, ...]:
+        img = list(range(self.group.degree))
+        for o, m in zip(self._orbits, mu):
+            start = 0
+            for part in reversed(m):
+                for i in range(start, start + part):
+                    img[o[i]] = o[i + 1 if i + 1 < start + part else start]
+                start += part
+        return tuple(img)
+
+    def _least_other(self, least, mu) -> tuple[int, ...]:
+        out = []
+        for j in self._signed:
+            o, m = self._orbits[j], len(self._orbits[j])
+            img = list(least)
+            img[o[m - 3]], img[o[m - 1]], img[o[m - 2]] = (
+                o[m - 1], o[m - 2], o[m - mu[j][0]])
+            out.append(tuple(img))
+        return min(out)
+
+    def index_of(self, raw: tuple[int, ...]) -> int | None:
+        """Class of a raw image tuple, or None when it is not in the group."""
+        orbit_of, weight = self._orbit_of, self._weight
+        if len(raw) != len(orbit_of):
+            return None
+        # p is the least point of its cycle, so the points seen later are
+        # all above it
+        seen = [False] * len(raw)
+        key = 0
+        for p, j in enumerate(orbit_of):
+            if seen[p]:
+                continue
+            q = raw[p]
+            if j < 0:
+                if q != p:
+                    return None
+                continue
+            k = 1
+            while q != p:
+                if orbit_of[q] != j:
+                    return None
+                seen[q] = True
+                q = raw[q]
+                k += 1
+            key += weight[j][k]
+        cols = self._where.get(key)
+        if cols is None or len(cols) == 1:
+            return None if cols is None else cols[0]
+        half = 0
+        rank = self._rank
+        for j in self._signed:
+            cycles = []
+            done = set()
+            for p in self._orbits[j]:
+                if p not in done:
+                    cyc = [p]
+                    q = raw[p]
+                    while q != p:
+                        cyc.append(q)
+                        q = raw[q]
+                    done.update(cyc)
+                    cycles.append(cyc)
+            cycles.sort(key=len)
+            half ^= _parity([rank[p] for cyc in cycles for p in cyc])
+        return cols[half]
+
+    def census(self, raws) -> list[int]:
+        """How many of the raw image tuples raws lie in each class.  Every one
+        must lie in the group; KeyError names the first that does not."""
+        counts = [0] * len(self.reps)
+        for x, c in Counter(raws).items():
+            j = self.index_of(x)
+            if j is None:
+                raise KeyError(x)
+            counts[j] += c
+        return counts
+
+
+def conjugacy_classes(group: PermGroup) -> ClassData | YoungClasses:
+    """The one class object of a group: read off partitions for a Young or
+    signed-Young group, by the class BFS otherwise."""
     if group._class_data is None:
-        group._class_data = ClassData(group)
+        shape = _young_shape(group)
+        group._class_data = (ClassData(group) if shape is None
+                             else YoungClasses(group, *shape))
     return group._class_data
 
 
@@ -122,11 +413,11 @@ def _as_cyclo(v) -> Cyclotomic:
 
 
 class Character:
-    """A class function given by its values on the classes of a ClassData."""
+    """A class function given by its values on the classes of a class object."""
 
     __slots__ = ("classes", "values")
 
-    def __init__(self, classes: ClassData, values):
+    def __init__(self, classes, values):
         vals = tuple(_as_cyclo(v) for v in values)
         if len(vals) != len(classes):
             raise ValueError("one value per conjugacy class required")
@@ -211,6 +502,157 @@ def nu_classical(chi: Character, m: int = 2) -> Cyclotomic:
     for j, h in enumerate(cd.sizes):
         total = total + chi.values[cd.power_class(j, m)].scaled(h)
     return total.scaled(Fraction(1, cd.group.order()))
+
+
+class CharacterTable:
+    """Irreducible characters of a group, rows sorted by degree then values."""
+
+    def __init__(self, group: PermGroup, classes,
+                 characters: tuple[Character, ...]):
+        self.group = group
+        self.classes = classes
+        self.characters = characters
+
+
+def character_table(group: PermGroup) -> CharacterTable:
+    """Exact character table, built once per group object: read off
+    partitions for a Young or signed-Young group, by Dixon's method
+    otherwise."""
+    if group._char_table is None:
+        cd = conjugacy_classes(group)
+        group._char_table = (_young_table(cd) if isinstance(cd, YoungClasses)
+                             else _dixon(cd))
+    return group._char_table
+
+
+def _finish(cd, chars: list[Character]) -> CharacterTable:
+    chars.sort(key=lambda c: (c.degree, tuple(v.sort_key() for v in c.values)))
+    _verify_table(cd.group.order(), chars)
+    return CharacterTable(cd.group, cd, tuple(chars))
+
+
+def _verify_table(n_g: int, chars: list[Character]) -> None:
+    """Degree squares sum to |G|, and every pair of rows is orthonormal:
+    with exact integers, sum_j h_j a_j b_j = |G| delta, when both rows are
+    rational, else by inner_product."""
+    if sum(c.degree * c.degree for c in chars) != n_g:
+        raise RuntimeError("degree squares do not sum to the group order")
+    sizes = chars[0].classes.sizes
+    ints = []
+    for c in chars:
+        vals = [v.as_rational_integer() for v in c.values]
+        ints.append(None if None in vals else vals)
+    for i, a in enumerate(chars):
+        for k in range(i, len(chars)):
+            expect = 1 if k == i else 0
+            if ints[i] is not None and ints[k] is not None:
+                ok = sum(h * x * y for h, x, y in zip(sizes, ints[i], ints[k])) == n_g * expect
+            else:
+                ok = inner_product(a, chars[k]).as_rational_integer() == expect
+            if not ok:
+                raise RuntimeError("character rows are not orthonormal")
+
+
+# -- characters from partitions ----------------------------------------------
+
+_MN_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+
+def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi_lam(mu) for partitions of one number, by Murnaghan-Nakayama.
+
+    The rim hooks of length mu[0] of lam are the beads b of the beta-set
+    {lam_i + len(lam) - 1 - i} that can move down to an empty b - mu[0];
+    the sign counts the beads passed.
+    """
+    key = (lam, mu)
+    if key not in _MN_CACHE:
+        if not mu:
+            value = 1
+        else:
+            k, rest = mu[0], mu[1:]
+            top = len(lam) - 1
+            beta = [part + top - i for i, part in enumerate(lam)]
+            value = 0
+            for b in beta:
+                c = b - k
+                if c < 0 or c in beta:
+                    continue
+                passed = sum(1 for x in beta if c < x < b)
+                moved = sorted([x for x in beta if x != b] + [c], reverse=True)
+                nu = tuple(x - top + i for i, x in enumerate(moved))
+                value += (-1) ** passed * _mn(tuple(p for p in nu if p), rest)
+        _MN_CACHE[key] = value
+    return _MN_CACHE[key]
+
+
+def _diagonal_hooks(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """Hook lengths on the diagonal of a self-conjugate partition."""
+    return tuple(2 * (part - i) - 1 for i, part in enumerate(lam) if part > i)
+
+
+def _sqrt_terms(q: int) -> tuple[int, dict[int, int]]:
+    """(d, terms) with sum_e terms[e] * zeta_d^e a square root of q, for
+    q = 1 mod 4: q = f^2 * (+-d) with d squarefree, and the root is f times
+    the product of the Gauss sums sum_a (a/p) zeta_p^a, whose squares are
+    p* = (-1)^((p-1)/2) p, over the primes p of d."""
+    assert q % 4 == 1
+    f, d = 1, 1
+    rest = abs(q)
+    for p in _prime_factors(rest):
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        f *= p ** (e // 2)
+        d *= p ** (e % 2)
+    terms = {0: f}
+    for p in _prime_factors(d):
+        step = d // p
+        legendre = {a: 1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)}
+        terms = {(e + a * step) % d: c * s
+                 for e, c in terms.items() for a, s in legendre.items()}
+    return d, terms
+
+
+def _young_table(cd: YoungClasses) -> CharacterTable:
+    """The table of a Young or signed-Young group from partitions (see the
+    module docstring)."""
+    signed = cd._signed
+    chars = []
+    for lam in product(*(_partitions(len(o)) for o in cd._orbits)):
+        twin = tuple(_conjugate(part) if j in signed else part
+                     for j, part in enumerate(lam))
+        if twin < lam:
+            continue
+        values = [math.prod(_mn(part, m) for part, m in zip(lam, mu))
+                  for mu, _ in cd._labels]
+        if not signed or twin != lam:
+            chars.append(Character(cd, values))
+            continue
+        hooks = {j: _diagonal_hooks(lam[j]) for j in signed}
+        q = 1
+        for j, h in hooks.items():
+            q *= (-1) ** ((sum(h) - len(h)) // 2) * math.prod(h)
+        d, root = _sqrt_terms(q)
+        for sign in (1, -1):
+            row = []
+            for (mu, half), v in zip(cd._labels, values):
+                rest = 0
+                if all(mu[j] == h for j, h in hooks.items()):
+                    rest = math.prod(_mn(part, m) for j, (part, m)
+                                     in enumerate(zip(lam, mu)) if j not in hooks)
+                if not rest:
+                    row.append(Cyclotomic.from_rational(Fraction(v, 2)))
+                    continue
+                c = sign * rest * (1 if half == 0 else -1)
+                terms: dict[int, Fraction] = {0: Fraction(v, 2)}
+                for e, t in root.items():
+                    terms[e] = terms.get(e, 0) + Fraction(c * t, 2)
+                row.append(Cyclotomic.from_exponents(d, terms))
+            chars.append(Character(cd, row))
+    assert len(chars) == len(cd)
+    return _finish(cd, chars)
 
 
 # -- Dixon's method ---------------------------------------------------------
@@ -300,25 +742,9 @@ def _nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-class CharacterTable:
-    """Irreducible characters of a group, rows sorted by degree then values."""
-
-    def __init__(self, group: PermGroup, classes: ClassData,
-                 characters: tuple[Character, ...]):
-        self.group = group
-        self.classes = classes
-        self.characters = characters
-
-
-def character_table(group: PermGroup) -> CharacterTable:
-    """Exact character table, built once per group object by Dixon's method."""
-    if group._char_table is None:
-        group._char_table = _dixon(group)
-    return group._char_table
-
-
-def _dixon(group: PermGroup) -> CharacterTable:
-    cd = conjugacy_classes(group)
+def _dixon(cd: ClassData) -> CharacterTable:
+    """The table of the group behind the class BFS cd, by Dixon's method."""
+    group = cd.group
     r = len(cd)
     n_g = group.order()
     exponent = math.lcm(*cd.orders)
@@ -406,17 +832,4 @@ def _dixon(group: PermGroup) -> CharacterTable:
                 raise RuntimeError("eigenvalue multiplicities do not sum to the degree")
             vals.append(Cyclotomic.from_exponents(nj, terms))
         chars.append(Character(cd, tuple(vals)))
-
-    chars.sort(key=lambda c: (c.degree, tuple(v.sort_key() for v in c.values)))
-    _verify_table(n_g, chars)
-    return CharacterTable(group, cd, tuple(chars))
-
-
-def _verify_table(n_g: int, chars: list[Character]) -> None:
-    if sum(c.degree * c.degree for c in chars) != n_g:
-        raise RuntimeError("degree squares do not sum to the group order")
-    for i, a in enumerate(chars):
-        for b in chars[i:]:
-            expect = 1 if a is b else 0
-            if inner_product(a, b).as_rational_integer() != expect:
-                raise RuntimeError("character rows are not orthonormal")
+    return _finish(cd, chars)

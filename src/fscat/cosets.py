@@ -298,6 +298,7 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
             stab_gens = tuple(_mul(_mul(t, x), t_inv) for x in stab_gens)
             found[root] = (len(orbit), stab_gens, self_inverse, root, idt)
             work += [(root, u) for u in free]
+            at_root = orbit.index(root)
             queue = [idt]
             for k_src in queue:
                 for u in free:
@@ -305,10 +306,12 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
                         break
                     k = _mul(u, k_src)
                     k_inv = _inv(k)
-                    if key(sub.coset_min(_mul(_mul(k, root), k_inv))) in placed:
+                    moved_root = sub.coset_min(_mul(_mul(k, root), k_inv))
+                    if key(moved_root) in placed:
                         continue
-                    image = [sub.coset_min(_mul(_mul(k, c), k_inv))
-                             for c in orbit]
+                    image = [moved_root if i == at_root
+                             else sub.coset_min(_mul(_mul(k, c), k_inv))
+                             for i, c in enumerate(orbit)]
                     rep = min(image)
                     conj = _mul(k, _mul(trans[orbit[image.index(rep)]], t_inv))
                     conj_inv = _inv(conj)

@@ -258,9 +258,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return self.n == 1
 
-    def as_fraction(self) -> Fraction | None:
-        return Fraction(self.num[0], self.den) if self.n == 1 else None
-
     def as_rational_integer(self) -> int | None:
         if self.n == 1 and self.den == 1:
             return self.num[0]
@@ -394,7 +391,7 @@ class Cyclotomic:
 
     # -- text ---------------------------------------------------------------
 
-    def to_text(self, var: str = "z") -> str:
+    def to_text(self) -> str:
         """Render as "a0 + a1*z + ..." with z implicitly a primitive n-th root."""
         if self.n == 1:
             return str(Fraction(self.num[0], self.den))
@@ -405,7 +402,7 @@ class Cyclotomic:
             if i == 0:
                 mon = str(abs(f))
             else:
-                zi = var if i == 1 else f"{var}^{i}"
+                zi = "z" if i == 1 else f"z^{i}"
                 mon = zi if abs(f) == 1 else f"{abs(f)}*{zi}"
             if not parts:
                 parts.append(mon if f > 0 else f"-{mon}")

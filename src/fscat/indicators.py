@@ -41,6 +41,7 @@ from fractions import Fraction
 from .chartab import (
     Character,
     ClassData,
+    YoungClasses,
     character_table,
     conjugacy_classes,
     induce,
@@ -84,8 +85,8 @@ def _census_indicators(counts: list[int], characters, order: int, what: str,
     return out
 
 
-def _coset_power_counts(g: Permutation, sub: PermGroup, cd: ClassData,
-                        m: int) -> list[int]:
+def _coset_power_counts(g: Permutation, sub: PermGroup,
+                        cd: ClassData | YoungClasses, m: int) -> list[int]:
     """Class census in S(g) of the values (g x)^m that land in H, x over H."""
     members = sub.element_set()
     g_raw = g._img
@@ -93,7 +94,7 @@ def _coset_power_counts(g: Permutation, sub: PermGroup, cd: ClassData,
     return cd.census(y for y in powers if y in members)
 
 
-def _square_counts(g: Permutation, cd: ClassData) -> list[int]:
+def _square_counts(g: Permutation, cd: ClassData | YoungClasses) -> list[int]:
     """Class census of (g x)^2 for x over the stabilizer S behind cd."""
     g_raw = g._img
     products = (_mul(g_raw, x) for x in cd.group.element_tuples())
@@ -224,7 +225,7 @@ def nu2_extension(g: Permutation, chi: Character, sub: PermGroup) -> int:
     return _as_int(total, f"nu_2 of {g.to_text()}")
 
 
-def _twisted_counts(cd: ClassData, u: Permutation) -> list[int]:
+def _twisted_counts(cd: ClassData | YoungClasses, u: Permutation) -> list[int]:
     """Class census of x * u x u^-1 for x over the group behind cd.
 
     u must normalize that group with u^2 centralizing it.  One census serves
@@ -477,7 +478,8 @@ def _check_global_identities(group: PermGroup, sub: PermGroup, m: int,
             f"group have y^{m} = e")
 
 
-def _transported(source, conj: tuple[int, ...], cd: ClassData,
+def _transported(source, conj: tuple[int, ...],
+                 cd: ClassData | YoungClasses,
                  characters, what: str) -> list[int]:
     """Indicators at a coset whose rows follow from those of a coset j of
     the same orbit under the free letters.

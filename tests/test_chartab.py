@@ -1,13 +1,22 @@
 """Character tables against hardcoded known tables and classical identities."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fscat import config
 from fscat.chartab import (
     Character,
+    ClassData,
+    YoungClasses,
+    _dixon,
+    _sqrt_terms,
+    _verify_table,
     character_table,
     conjugacy_classes,
     induce,
@@ -17,8 +26,8 @@ from fscat.chartab import (
 from fscat.cosets import stabilizer
 from fscat.cyclo import ZERO, Cyclotomic
 from fscat.indicators import index_two_overgroup
-from fscat.perm import (Permutation, PermGroup, _inv, _mul, alt, cyclic, sym,
-                        tilde_sym, trivial)
+from fscat.perm import (BoundExceeded, Permutation, PermGroup, _inv, _mul, alt,
+                        cyclic, sym, tilde_sym, trivial)
 
 P = Permutation.from_text
 q = Cyclotomic.from_rational
@@ -276,25 +285,33 @@ CLASS_MAP_GROUPS = {
 
 @pytest.mark.parametrize("name", list(CLASS_MAP_GROUPS))
 def test_class_map_members_index_and_census(name):
+    # the class object a group keeps (read off partitions for S4, A5 and the
+    # stabilizer, by the BFS for C8) and the BFS's own ClassData agree on
+    # every element, and the BFS members list each class
     group = CLASS_MAP_GROUPS[name]()
-    cd = conjugacy_classes(group)
+    bfs = ClassData(group)
+    routed = conjugacy_classes(group)
+    assert isinstance(routed, ClassData) == (name == "C8")
     elems = group.element_tuples()
-    assert cd.census(elems) == list(cd.sizes)
-    assert [len(m) for m in cd.members] == list(cd.sizes)
-    assert [min(m) for m in cd.members] == [rep._img for rep in cd.reps]
-    for j, m in enumerate(cd.members):
-        assert all(cd.index_of(x) == j for x in m)
-    chi = Character(cd, range(len(cd)))
-    for x in elems:
-        assert chi.value(Permutation._from_raw(x)) == cd.index_of(x)
+    assert [len(m) for m in bfs.members] == list(bfs.sizes)
+    assert [min(m) for m in bfs.members] == [rep._img for rep in bfs.reps]
+    for j, m in enumerate(bfs.members):
+        assert all(bfs.index_of(x) == j for x in m)
     inside = group.element_set()
     outside = next((x for x in permutations(range(group.degree))
                     if x not in inside), tuple(range(group.degree + 1)))
-    assert cd.index_of(outside) is None
-    with pytest.raises(ValueError, match="is not in the group"):
-        chi.value(Permutation._from_raw(outside))
-    with pytest.raises(KeyError):
-        cd.census([outside])
+    for cd in (bfs, routed):
+        assert cd.reps == bfs.reps and cd.sizes == bfs.sizes
+        assert cd.census(elems) == list(cd.sizes)
+        chi = Character(cd, range(len(cd)))
+        for x in elems:
+            assert chi.value(Permutation._from_raw(x)) == cd.index_of(x) \
+                == bfs.index_of(x)
+        assert cd.index_of(outside) is None
+        with pytest.raises(ValueError, match="is not in the group"):
+            chi.value(Permutation._from_raw(outside))
+        with pytest.raises(KeyError):
+            cd.census([outside])
 
 
 def test_power_and_inverse_class_maps():
@@ -308,11 +325,14 @@ def test_power_and_inverse_class_maps():
 
 
 def test_class_data_public_names():
-    # the names every source of class data provides; each class fact has one
-    cd = conjugacy_classes(sym(4))
-    public = {name for name in dir(cd) if not name.startswith("_")}
-    assert public == {"group", "reps", "sizes", "orders", "members",
-                      "index_of", "census", "power_class"}
+    # the names every source of class data provides; each class fact has one.
+    # Only the BFS lists members, which only Dixon's method reads
+    shared = {"group", "reps", "sizes", "orders", "index_of", "census",
+              "power_class"}
+    for cd, extra in ((ClassData(sym(4)), {"members"}),
+                      (conjugacy_classes(sym(4)), set())):
+        public = {name for name in dir(cd) if not name.startswith("_")}
+        assert public == shared | extra
 
 
 CLASS_ALGEBRA_GROUPS = {
@@ -354,3 +374,148 @@ def test_rows_are_central_characters_of_the_full_class_algebra(name):
                     if a[i][j][k]:
                         total = total + w[k].scaled(a[i][j][k])
                 assert w[i] * w[j] == total, (name, i, j)
+
+
+# -- the structural route: Young and signed-Young groups --------------------
+
+
+def _same_classes(cd, bfs):
+    """The class object read off partitions against the class BFS of the
+    same elements: columns, every element's class and every power map."""
+    assert cd.reps == bfs.reps
+    assert cd.sizes == bfs.sizes
+    assert cd.orders == bfs.orders
+    for x in bfs.group.element_tuples():
+        assert cd.index_of(x) == bfs.index_of(x)
+    for j in range(len(bfs)):
+        for t in range(-1, bfs.orders[j] + 1):
+            assert cd.power_class(j, t) == bfs.power_class(j, t)
+
+
+@pytest.mark.parametrize("family, n", [("S", n) for n in range(1, 9)]
+                         + [("A", n) for n in range(3, 9)])
+def test_partition_tables_of_symmetric_and_alternating_groups(family, n):
+    # Murnaghan-Nakayama rows of S_n and the split rows of A_n, against
+    # Dixon's method on a fresh group object of the same elements
+    make = sym if family == "S" else alt
+    group, fresh = make(n), make(n)
+    assert isinstance(conjugacy_classes(group), YoungClasses)
+    bfs = ClassData(fresh)
+    _same_classes(conjugacy_classes(group), bfs)
+    rows = [chi.values for chi in character_table(group).characters]
+    assert rows == [chi.values for chi in _dixon(bfs).characters]
+
+
+def young_case(orbits, signed, n):
+    """(generators, degree, order) of the Young subgroup of the orbits (lists
+    of 0-based points), or of the kernel of the product of the signs on the
+    orbits at the positions signed: 3-cycles for the alternating groups, a
+    transposition on each unsigned orbit, and products of two on signed
+    ones."""
+    def perm(*cycles):
+        return Permutation.from_cycles([[p + 1 for p in c] for c in cycles], n)
+
+    gens = []
+    for j, o in enumerate(orbits):
+        gens += [perm((o[0], o[1], o[k])) for k in range(2, len(o))]
+        if len(o) > 1 and j not in signed:
+            gens.append(perm(o[:2]))
+    gens += [perm(orbits[signed[0]][:2], orbits[j][:2]) for j in signed[1:]]
+    young = math.prod(math.factorial(len(o)) for o in orbits)
+    return gens, n, young // 2 if signed else young
+
+
+@st.composite
+def young_groups(draw):
+    """A Young or signed-Young group on at most 8 points, by young_case."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    while sum(sizes) > 8:
+        sizes.pop()
+    n = sum(sizes) or 1
+    points = draw(st.permutations(range(n)))
+    cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    orbits = [sorted(points[a:b]) for a, b in zip(cuts, cuts[1:])]
+    big = [j for j, o in enumerate(orbits) if len(o) > 1]
+    signed = []
+    if big and draw(st.booleans()):
+        signed = sorted(draw(st.sets(st.sampled_from(big), min_size=1)))
+    return young_case(orbits, signed, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(young_groups())
+@example(young_case([[0, 1, 2], [3, 4, 5]], [0, 1], 6))
+@example(young_case([[0, 2, 4, 6, 7], [1, 3, 5]], [0, 1], 8))
+@example(young_case([[5, 6, 7], [0, 1, 3, 4], [2]], [0, 1], 8))
+@example(young_case([[0, 1, 2], [3, 4, 5], [6, 7]], [0, 1, 2], 8))
+@example(young_case([[0, 3, 4], [1, 2], [5, 6, 7]], [0, 2], 8))
+def test_young_and_signed_young_groups_match_the_bfs_and_dixon(case):
+    # a lone signed orbit of two points makes the group Young on the rest
+    gens, n, order = case
+    group, fresh = PermGroup(n, gens), PermGroup(n, gens)
+    assert group.order() == order
+    cd = conjugacy_classes(group)
+    assert isinstance(cd, YoungClasses)
+    bfs = ClassData(fresh)
+    _same_classes(cd, bfs)
+    table, oracle = character_table(group), _dixon(bfs)
+    assert len(table.characters) == len(oracle.characters)
+    for chi, psi in zip(table.characters, oracle.characters):
+        assert chi.values == psi.values
+
+
+def test_routes_of_the_stabilizers():
+    # every distinct stabilizer of C(S11, tilde S8) has index 2 in its
+    # Young subgroup; C(S8, C8)'s nontrivial ones and an index-two
+    # overgroup of S(g) fit neither shape and go to Dixon
+    from fscat.indicators import _stabilizer_classes
+    from fscat.cosets import double_cosets
+    from fscat.perm import sym_embed
+
+    deep = _stabilizer_classes(double_cosets(sym(11), tilde_sym(10, degree=11)))
+    assert len(deep) == 15
+    for stab, _ in deep:
+        cd = conjugacy_classes(stab)
+        assert isinstance(cd, YoungClasses) and cd._signed
+    c8 = _stabilizer_classes(double_cosets(sym(8), cyclic(8)))
+    assert sorted(stab.order() for stab, _ in c8) == [1, 2, 4, 8]
+    for stab, _ in c8:
+        assert isinstance(conjugacy_classes(stab), ClassData) == (stab.order() > 1)
+    sub, hat = stabilizer_overgroup()
+    assert isinstance(conjugacy_classes(sub), YoungClasses)
+    assert isinstance(conjugacy_classes(hat), ClassData)
+    assert isinstance(conjugacy_classes(sym_embed(5, 7)), YoungClasses)
+
+
+def test_both_routes_refuse_the_same_bound(monkeypatch):
+    monkeypatch.setattr(config, "ENUMERATION_BOUND", 100)
+    for make in (lambda: conjugacy_classes(sym(5)), lambda: ClassData(sym(5)),
+                 lambda: character_table(alt(6))):
+        with pytest.raises(BoundExceeded) as exc:
+            make()
+        assert exc.value.bound_name == "enumeration bound"
+        assert exc.value.limit == 100
+        assert exc.value.needed in (120, 360)
+
+
+@pytest.mark.parametrize("q", [1, 5, -3, -7, 9, 21, -15, 45, 105, -11 * 9])
+def test_square_roots_from_gauss_sums(q):
+    d, terms = _sqrt_terms(q)
+    root = Cyclotomic.from_exponents(d, terms)
+    assert root * root == q
+
+
+@pytest.mark.parametrize("irrational", [False, True])
+def test_verify_table_rejects_one_altered_value(irrational):
+    # A5 has rational rows and two rows with (1 +- sqrt 5)/2 values; one
+    # changed value in either kind breaks orthonormality
+    chars = list(character_table(alt(5)).characters)
+    _verify_table(60, chars)
+    i = next(i for i, chi in enumerate(chars)
+             if irrational != all(v.as_rational_integer() is not None
+                                  for v in chi.values))
+    vals = list(chars[i].values)
+    vals[-1] = vals[-1] + 1
+    chars[i] = Character(chars[i].classes, vals)
+    with pytest.raises(RuntimeError, match="orthonormal"):
+        _verify_table(60, chars)

@@ -66,7 +66,7 @@ def test_rational_extraction():
     assert z(3).as_rational_integer() is None
     half = Cyclotomic.from_rational(Fraction(1, 2))
     assert half.as_rational_integer() is None
-    assert half.as_fraction() == Fraction(1, 2)
+    assert half.c == (Fraction(1, 2),)
     assert (half + half).as_rational_integer() == 1
 
 

@@ -369,17 +369,17 @@ def defining_sum_rows(group, sub, m):
 def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
     # every row equals the defining sum over the filtered stabilizer's
     # table, whether computed or moved along the fold; one table is built
-    # per distinct stabilizer
+    # per distinct stabilizer, by either route (each table is verified once)
     group, sub = PAIR_CASES[case]()
     expected = defining_sum_rows(group, sub, m)
     distinct = {stabilizer(dc.rep, sub).element_set()
                 for dc in double_cosets(group, sub)}
     built = []
-    dixon = chartab._dixon
+    verify = chartab._verify_table
 
-    def counting_dixon(grp):
-        built.append(grp.order())
-        return dixon(grp)
+    def counting_verify(n_g, chars):
+        built.append(n_g)
+        return verify(n_g, chars)
 
     moved = []
     transported = indicators._transported
@@ -388,7 +388,7 @@ def test_shared_stabilizer_tables_change_no_row(monkeypatch, case, m):
         moved.append(args)
         return transported(*args)
 
-    monkeypatch.setattr(chartab, "_dixon", counting_dixon)
+    monkeypatch.setattr(chartab, "_verify_table", counting_verify)
     monkeypatch.setattr(indicators, "_transported", counting_transport)
     report = category_scan(group, sub, m)
     assert [(e.rep, e.stab_order, e.chi_degree, e.nu)
