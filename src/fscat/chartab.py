@@ -50,6 +50,31 @@ Every e_j * prod h is 1 mod 4, so R is f times a product of quadratic Gauss
 sums.  Values are built with Cyclotomic.from_rational and from_exponents, so
 they are the canonical values Dixon's method gives.
 
+Square censuses.  The degree-2 indicator sums chi((w s)^2) over s in S for
+a w that normalizes S with w^2 in S, so it reads the class counts of the
+squares of the coset wS.  For S = Y or K they come from cycle types.  w
+permutes the orbits, O_j onto O_tau(j), and tau is an involution because
+w^2 lies in S; tau fixes I, because w normalizes K.  The coset wY is every pi
+with pi(O_j) = O_tau(j) for all j (and pi = w off the orbits), and the
+orbits and the pairs tau swaps contribute independently:
+  * on an orbit O of a points that tau fixes, pi|O runs over Sym(O): each
+    type lam is taken a!/z_lam times, and pi^2|O has the square type of
+    lam, in which a k-cycle gives one k-cycle for odd k and two k/2-cycles
+    for even k;
+  * on a swapped pair (O, O'), pi^2|O = pi|O' * pi|O takes each value of
+    Sym(O) a! times, and pi^2|O' is conjugate to it, of the same type.
+For S = K, pi lies in wK exactly when eps_I(w^-1 pi) = +1, a parity summed
+over the orbits of I: on an orbit tau fixes it is sgn(w|O) + sgn(pi|O), and
+on a swapped pair it is sgn(w^2|O) + sgn(pi^2|O), since (w^-1 pi)|O' carried
+onto O by w|O, times (w^-1 pi)|O, is (w^2|O)^-1 pi^2|O.  So the census of
+wK is the convolution of the orbits' and pairs' counts, keeping the even
+total parity.  A class of Y that splits in K gets half of its count in each
+half: any t in Y - K has eps_I(w^-1 t w) = eps_{tau(I)}(t) = eps_I(t), so t
+normalizes wK, and conjugation by t swaps the halves.  Before counting,
+YoungClasses.square_census checks that w maps orbits onto orbits, that tau
+fixes I and that w^2 lies in S, and raises ValueError otherwise; ClassData
+checks that w normalizes S with w^2 in S and lists the coset.
+
 Dixon's method.  The class BFS (ClassData) lists every class, and the
 class-sum algebra acts on itself through integer class matrices.  Their
 common eigenvectors over a prime field F_p (p = 1 mod exp(G), p large
@@ -69,7 +94,8 @@ over the enumeration bound, as the class BFS does.
 The map from elements to classes is private to this module.  Other modules
 read it through the class object: index_of for one raw element, census for
 the class counts of many (every indicator sum reads such a census against a
-table), power_class for the class of a power.
+table), square_census for those of the squares of a coset wS, power_class
+for the class of a power.
 """
 from __future__ import annotations
 
@@ -165,6 +191,19 @@ class ClassData(_Classes):
         must lie in the group; KeyError names the first that does not."""
         tally = Counter(map(self._index.__getitem__, raws))
         return [tally[j] for j in range(len(self.reps))]
+
+    def square_census(self, w: tuple[int, ...]) -> list[int]:
+        """Class counts of (w s)^2 over s in the group, for a raw w that
+        normalizes it with w^2 in it (else ValueError), by listing the
+        group."""
+        if self._index.get(_mul(w, w)) is None:
+            raise ValueError("w^2 must lie in the group")
+        w_inv = _inv(w)
+        for s in self.group.generators:
+            if _mul(_mul(w, s._img), w_inv) not in self._index:
+                raise ValueError("w must normalize the group")
+        products = (_mul(w, s) for s in self.group.element_tuples())
+        return self.census(_mul(ws, ws) for ws in products)
 
 
 def _partitions(m: int, most: int | None = None):
@@ -392,6 +431,62 @@ class YoungClasses(_Classes):
             if j is None:
                 raise KeyError(x)
             counts[j] += c
+        return counts
+
+    def square_census(self, w: tuple[int, ...]) -> list[int]:
+        """Class counts of (w s)^2 over s in the group, for a raw w that
+        normalizes it with w^2 in it (else ValueError), from cycle types (see
+        the module docstring); no element is listed."""
+        orbits, signed, weight = self._orbits, self._signed, self._weight
+        orbit_of, rank = self._orbit_of, self._rank
+        tau = []
+        for o in orbits:
+            k = orbit_of[w[o[0]]]
+            if k < 0 or len(orbits[k]) != len(o) or any(
+                    orbit_of[w[p]] != k for p in o):
+                raise ValueError("w must map each orbit onto an orbit")
+            tau.append(k)
+        if any(tau[j] not in signed for j in signed):
+            raise ValueError("w must map the signed orbits onto signed orbits")
+        if self.index_of(_mul(w, w)) is None:
+            raise ValueError("w^2 must lie in the group")
+        # (cycle-type key of (w s)^2, parity of eps_I(s)) -> count, s over Y
+        dist = Counter({(0, 0): 1})
+        for j, o in enumerate(orbits):
+            k = tau[j]
+            if k < j:
+                continue
+            a = len(o)
+            full = math.factorial(a)
+            bit = 0
+            if j in signed:
+                bit = _parity([rank[w[p]] if k == j else rank[w[w[p]]]
+                               for p in o])
+            terms = []
+            for lam in _partitions(a):
+                # lam: the type of w s on a fixed orbit, of (w s)^2 on a pair
+                size = full // _centralizer_order(lam)
+                if k == j:
+                    key = sum(weight[j][part] if part % 2
+                              else 2 * weight[j][part // 2] for part in lam)
+                else:
+                    key = sum(weight[j][part] + weight[k][part] for part in lam)
+                    size *= full
+                odd = (bit + a - len(lam)) % 2 if j in signed else 0
+                terms.append((key, odd, size))
+            step = Counter()
+            for (key, odd), c in dist.items():
+                for key2, odd2, c2 in terms:
+                    step[key + key2, odd ^ odd2] += c * c2
+            dist = step
+        counts = [0] * len(self.reps)
+        for (key, odd), c in dist.items():
+            if odd:
+                continue
+            cols = self._where[key]
+            assert c % len(cols) == 0
+            for col in cols:
+                counts[col] += c // len(cols)
         return counts
 
 

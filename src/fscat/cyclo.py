@@ -252,12 +252,6 @@ class Cyclotomic:
         """Coefficients over the power basis of the minimal field, as fractions."""
         return tuple(Fraction(v, self.den) for v in self.num)
 
-    def is_zero(self) -> bool:
-        return self.n == 1 and self.num[0] == 0
-
-    def is_rational(self) -> bool:
-        return self.n == 1
-
     def as_rational_integer(self) -> int | None:
         if self.n == 1 and self.den == 1:
             return self.num[0]

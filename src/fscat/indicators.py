@@ -23,10 +23,14 @@ object.  For m = 2 the double-coset walk has already decided vanishing: a
 coset that is not self-inverse (DoubleCoset.self_inverse) has no element
 squaring into H, so all its indicators are zero without a sum.  Otherwise
 the scan uses the stabilizer sum at an adjusted representative, or the
-classical indicator when that representative lies in H.  For m != 2 it uses
-the defining sum.  Only one coset per orbit under the letters H fixes is
-computed (see cosets); the others move its rows along conjugation, and a
-check of two global identities at the end sees every row.
+classical indicator when that representative lies in H.  The stabilizer sum
+reads the class census of the squares of the coset wS(g) from the class
+object (chartab's square_census): from cycle types when S(g) is a Young or
+signed-Young group, by listing S(g) otherwise.  For m != 2 it uses the
+defining sum, which lists H.  Only one coset per orbit under the letters H
+fixes is computed (see cosets); the others move its rows along
+conjugation, and a check of two global identities at the end sees every
+row.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import config
 from .chartab import (
     Character,
     ClassData,
@@ -50,7 +55,8 @@ from .chartab import (
 )
 from .cosets import DoubleCosetDecomposition, double_cosets, stabilizer
 from .cyclo import ZERO, Cyclotomic
-from .perm import PermGroup, Permutation, _conj, _inv, _mul, _raw_pow, conjugate
+from .perm import (PermGroup, Permutation, _conj, _identity, _inv, _mul,
+                   _raw_pow, conjugate)
 
 
 def _check_m(m: int) -> None:
@@ -92,13 +98,6 @@ def _coset_power_counts(g: Permutation, sub: PermGroup,
     g_raw = g._img
     powers = (_raw_pow(_mul(g_raw, x), m) for x in sub.element_tuples())
     return cd.census(y for y in powers if y in members)
-
-
-def _square_counts(g: Permutation, cd: ClassData | YoungClasses) -> list[int]:
-    """Class census of (g x)^2 for x over the stabilizer S behind cd."""
-    g_raw = g._img
-    products = (_mul(g_raw, x) for x in cd.group.element_tuples())
-    return cd.census(_mul(gx, gx) for gx in products)
 
 
 def nu_m(g: Permutation, chi: Character, sub: PermGroup, m: int = 2) -> int:
@@ -159,7 +158,7 @@ def nu2_stab(g: Permutation, chi: Character, sub: PermGroup) -> int:
     if _mul(g._img, g._img) not in members:
         raise ValueError("square of the representative must lie in the subgroup")
     cd = chi.classes
-    counts = _square_counts(g, cd)
+    counts = cd.square_census(g._img)
     return _census_indicators(counts, [chi], cd.group.order(),
                               f"nu_2 of {g.to_text()}")[0]
 
@@ -463,14 +462,26 @@ def _check_global_identities(group: PermGroup, sub: PermGroup, m: int,
                              entries) -> None:
     """Column orthogonality over G, with dim = [H:S(g)] * chi(1): the
     dimensions square-sum to |G|, and sum dim * nu_m counts the y in G with
-    y^m = e.  The second sum is checked only when G is a symmetric or
-    alternating group, whose count comes from cycle types."""
+    y^m = e.  The count comes from cycle types when G is a symmetric or
+    alternating group, from G's elements when G is within the enumeration
+    bound, and is skipped otherwise.
+
+    The second identity holds for every G: sum_chi chi(1) conj(chi)(z) =
+    |S| delta_{z,e} turns sum dim * nu_m into the sum over the left cosets
+    gH of #{y in gH : y^m = e}."""
     h_order = sub.order()
     dims = [h_order // e.stab_order * e.chi_degree for e in entries]
     if sum(d * d for d in dims) != group.order():
         raise ArithmeticError(
             "the squared dimensions do not sum to the group order")
     roots = _power_roots(group, m)
+    if roots is None and group.order() <= config.ENUMERATION_BOUND:
+        # leave no list of G's elements behind on the caller's group
+        listed = group._elem_tuples is not None
+        one = _identity(group.degree)
+        roots = sum(1 for y in group.element_tuples() if _raw_pow(y, m) == one)
+        if not listed:
+            group._elem_tuples = None
     total = sum(d * e.nu for d, e in zip(dims, entries))
     if roots is not None and total != roots:
         raise ArithmeticError(
@@ -512,23 +523,27 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     """Indicators of every simple object of the pair category of (G, H).
 
     The stabilizers come from the double-coset walk.  Each distinct
-    stabilizer is enumerated, and its classes and character table built,
-    once for all the double cosets that share it, and dropped before the
-    next.  Per coset, m = 2 gives all-zero rows on a double coset that the
-    walk found not self-inverse.  Otherwise the first coset the scan reaches
-    of each orbit under the free letters (DoubleCoset.root) computes its
-    rows: m = 2 takes the stabilizer-only sum at an adjusted representative,
-    every other m the defining H-sum.  The other cosets of that orbit move
-    those rows along conjugation (DoubleCoset.conj), and the moved data are
-    dropped once the orbit's last coset is done.  Rows are emitted in
-    double-coset order, each in its own table's order.
+    stabilizer has its classes and character table built once for all the
+    double cosets that share it, and is dropped before the next.  Per coset,
+    m = 2 gives all-zero rows on a double coset that the walk found not
+    self-inverse.  Otherwise the first coset the scan reaches of each orbit
+    under the free letters (DoubleCoset.root) computes its rows: m = 2 takes
+    the stabilizer-only sum at an adjusted representative, every other m the
+    defining H-sum.  The stabilizer sum's square census comes from cycle
+    types when the stabilizer is a Young or signed-Young group, which is
+    then never enumerated, and from a list of its elements otherwise (such
+    as C(S8, C8)'s); the defining sum lists H.  The other cosets of that
+    orbit move those rows along conjugation (DoubleCoset.conj), and the
+    moved data are dropped once the orbit's last coset is done.  Rows are
+    emitted in double-coset order, each in its own table's order.
 
     At the end the global identities are checked: the squared dimensions
-    [H:S(g)] * chi(1) sum to |G|, and, when G is a symmetric or alternating
-    group, sum dim * nu_m equals #{y in G : y^m = e}.  For any other G only
-    the first is checked.  A failure raises ArithmeticError.  Tables are
-    deterministic; seed is accepted for compatibility and affects nothing.
-    m must be a positive integer.
+    [H:S(g)] * chi(1) sum to |G|, and sum dim * nu_m equals
+    #{y in G : y^m = e}, counted from cycle types when G is a symmetric or
+    alternating group and from G's elements otherwise.  A G of neither kind
+    over the enumeration bound gets only the first check.  A failure raises
+    ArithmeticError.  Tables are deterministic; seed is accepted for
+    compatibility and affects nothing.  m must be a positive integer.
     """
     _check_m(m)
     if not sub.is_subgroup_of(group):
@@ -566,7 +581,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                     nus = [_as_int(nu_classical(chi), "classical nu_2")
                            for chi in table.characters]
                 else:
-                    counts = _square_counts(w, cd)
+                    counts = cd.square_census(w._img)
                     nus = _census_indicators(counts, table.characters,
                                              stab.order(),
                                              f"nu_2 at {w.to_text()}")
@@ -591,7 +606,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                                       chi_degree=chi.degree, nu=value)
                        for chi, value in zip(table.characters, nus)]
         # Hold no reference to this stabilizer, its classes or its table
-        # while the next one is enumerated.  The caches point back at the
+        # while the next one is built.  The caches point back at the
         # group, so clear them to let reference counting free all three now.
         stab._class_data = stab._char_table = None
         del stab, table, cd

@@ -133,7 +133,7 @@ def test_quaternion_regular_representation_has_negative_indicator():
 def test_symmetric_group_characters_are_rational():
     tab = character_table(sym(5))
     for chi in tab.characters:
-        assert all(v.is_rational() for v in chi.values)
+        assert all(v.n == 1 for v in chi.values)
         assert all(v.conj() == v for v in chi.values)
         assert nu_classical(chi) == 1
 
@@ -177,7 +177,7 @@ def test_induction_from_a3_gives_two_dimensional_character():
     a3 = alt(3)
     s3 = sym(3)
     omega_chi = next(chi for chi in character_table(a3).characters
-                     if not all(v.is_rational() for v in chi.values))
+                     if not all(v.n == 1 for v in chi.values))
     ind = induce(omega_chi, s3)
     std = next(chi for chi in character_table(s3).characters if chi.degree == 2)
     assert ind == std
@@ -240,7 +240,7 @@ def test_induce_rejects_larger_index():
 def test_conjugated_by_permutes_omega_characters():
     tab = character_table(alt(4))
     omega_rows = [chi for chi in tab.characters
-                  if chi.degree == 1 and not all(v.is_rational() for v in chi.values)]
+                  if chi.degree == 1 and not all(v.n == 1 for v in chi.values)]
     u = Permutation.from_text("(1,2)", degree=4)
     assert omega_rows[0].conjugated_by(u) == omega_rows[1]
     triv = tab.characters[0]
@@ -328,7 +328,7 @@ def test_class_data_public_names():
     # the names every source of class data provides; each class fact has one.
     # Only the BFS lists members, which only Dixon's method reads
     shared = {"group", "reps", "sizes", "orders", "index_of", "census",
-              "power_class"}
+              "square_census", "power_class"}
     for cd, extra in ((ClassData(sym(4)), {"members"}),
                       (conjugacy_classes(sym(4)), set())):
         public = {name for name in dir(cd) if not name.startswith("_")}
@@ -519,3 +519,110 @@ def test_verify_table_rejects_one_altered_value(irrational):
     chars[i] = Character(chars[i].classes, vals)
     with pytest.raises(RuntimeError, match="orthonormal"):
         _verify_table(60, chars)
+
+
+# -- square censuses of a coset wS ------------------------------------------
+
+
+def _coset_case(orbits, signed, n, w_text):
+    """young_case's group with a raw w given as cycles (1-based)."""
+    return young_case(orbits, signed, n) + (P(w_text, n)._img,)
+
+
+@st.composite
+def young_cosets(draw):
+    """(generators, degree, order, w) for a Young or signed-Young group on at
+    most 8 points and a w that normalizes it with w^2 in it.
+
+    w pairs some orbits of equal size, both signed or both not (fixed
+    points included), maps each pair's orbits onto each other by two random
+    bijections and every other orbit onto itself by a random permutation.
+    Then w^2 lies in the Young group, with an even sign on the signed orbits
+    together, and w normalizes the kernel because it keeps them together.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    while sum(sizes) > 8:
+        sizes.pop()
+    n = sum(sizes)
+    points = draw(st.permutations(range(n)))
+    cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    orbits = [sorted(points[a:b]) for a, b in zip(cuts, cuts[1:])]
+    big = [j for j, o in enumerate(orbits) if len(o) > 1]
+    signed = []
+    if big and draw(st.booleans()):
+        signed = sorted(draw(st.sets(st.sampled_from(big), min_size=1)))
+    # a lone signed orbit of two points is fixed pointwise by the group
+    fixed = (set(signed) if len(signed) == 1 and len(orbits[signed[0]]) == 2
+             else set())
+    images = list(range(n))
+    free = list(range(len(orbits)))
+    while free:
+        j = free.pop(0)
+        mates = [k for k in free if len(orbits[k]) == len(orbits[j])
+                 and (k in signed) == (j in signed) and j not in fixed]
+        k = draw(st.sampled_from([j] + mates))
+        if k == j:
+            for p, q in zip(orbits[j], draw(st.permutations(orbits[j]))):
+                images[p] = q
+            continue
+        free.remove(k)
+        for a, b in ((j, k), (k, j)):
+            for p, q in zip(orbits[a], draw(st.permutations(orbits[b]))):
+                images[p] = q
+    return young_case(orbits, signed, n) + (tuple(images),)
+
+
+@settings(max_examples=80, deadline=None)
+@given(young_cosets())
+# a swapped pair of signed orbits, with split classes (3)(3)
+@example(_coset_case([[0, 1, 2], [3, 4, 5]], [0, 1], 6, "(1,4)(2,5)(3,6)"))
+# a swapped pair outside I = {Sym{5,6,7}}, whose 3-cycles split
+@example(_coset_case([[0, 1], [2, 3], [4, 5, 6]], [2], 7, "(1,3)(2,4)(5,6)"))
+# a swapped pair in I with w^2 odd on each of its orbits
+@example(_coset_case([[0, 1], [2, 3], [4, 5, 6, 7]], [0, 1, 2], 8,
+                     "(1,3,2,4)(5,6)"))
+# a swapped pair in I, and two swapped fixed points
+@example(_coset_case([[0, 1, 2], [3, 4, 5], [6], [7]], [0, 1], 8,
+                     "(1,4,2,5)(3,6)(7,8)"))
+# two swapped pairs, one in I and one not
+@example(_coset_case([[0, 1], [2, 3], [4, 5], [6, 7]], [0, 1], 8,
+                     "(1,3)(2,4)(5,7,6,8)"))
+def test_square_census_from_cycle_types_matches_the_listed_coset(case):
+    # the census read off cycle types against the class BFS, which lists
+    # (w s)^2 for every s in a fresh group object of the same elements
+    gens, n, order, w = case
+    group = PermGroup(n, gens)
+    assert group.order() == order
+    cd = conjugacy_classes(group)
+    assert isinstance(cd, YoungClasses)
+    bfs = ClassData(PermGroup(n, gens))
+    assert cd.reps == bfs.reps
+    counts = cd.square_census(w)
+    assert counts == bfs.square_census(w)
+    assert sum(counts) == order
+
+
+def test_square_census_rejects_a_w_outside_the_normalizer():
+    # each failed precondition is a ValueError, on both class objects
+    cases = [
+        # an orbit onto a set that is not an orbit, or onto fixed points
+        (young_case([[0, 1, 2], [3, 4]], [], 6), "(3,4)", "onto an orbit"),
+        (young_case([[0, 1, 2]], [], 6), "(1,4)(2,5)(3,6)", "onto an orbit"),
+        # Alt{1,2,3} x Sym{4,5,6}: the signed orbit onto an unsigned one
+        (young_case([[0, 1, 2], [3, 4, 5]], [0], 6), "(1,4)(2,5)(3,6)",
+         "signed orbits"),
+        # orbits in a 3-cycle, and a 3-cycle of fixed points: w^2 outside
+        (young_case([[0, 1], [2, 3], [4, 5]], [], 6), "(1,3,5)(2,4,6)",
+         r"w\^2"),
+        (young_case([[0, 1]], [], 5), "(3,4,5)", r"w\^2"),
+    ]
+    for (gens, n, _), w_text, message in cases:
+        cd = conjugacy_classes(PermGroup(n, gens))
+        assert isinstance(cd, YoungClasses)
+        with pytest.raises(ValueError, match=message):
+            cd.square_census(P(w_text, n)._img)
+    c4 = ClassData(cyclic(4))
+    with pytest.raises(ValueError, match="normalize"):
+        c4.square_census(P("(1,2)", 4)._img)
+    with pytest.raises(ValueError, match=r"w\^2"):
+        c4.square_census(P("(1,2,4,3)", 4)._img)

@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 from collections import Counter
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fscat import chartab, indicators, perm
+from fscat import chartab, config, indicators, perm
 from fscat.cli import parse_group_spec
 from fscat.chartab import character_table, nu_classical
 from fscat.cosets import is_null_coset, double_cosets, stabilizer
@@ -472,6 +473,65 @@ def test_power_roots_count_from_cycle_types():
                 roots = sum(k for o, k in orders.items() if m % o == 0)
                 assert indicators._power_roots(group, m) == roots
     assert indicators._power_roots(cyclic(5), 5) is None
+
+
+@pytest.mark.parametrize("name", ["D4", "C8"])
+def test_roots_of_any_group_within_the_bound_are_checked(monkeypatch, name):
+    # neither group is symmetric or alternating, so sum dim * nu_m is
+    # checked against a count over G's elements, which the scan does not
+    # keep; a tampered row breaks it, and above the enumeration bound the
+    # count is skipped, not raised
+    group, sub = {
+        "D4": lambda: (PermGroup(4, [P("(1,2,3,4)"), P("(1,3)", 4)]),
+                       PermGroup(4, [P("(1,3)", 4)])),
+        "C8": lambda: (cyclic(8), PermGroup(8, [P("(1,5)(2,6)(3,7)(4,8)")])),
+    }[name]()
+    for m in (2, 3, 4):
+        assert indicators._power_roots(group, m) is None
+        entries = list(category_scan(group, sub, m).entries)
+        assert group._elem_tuples is None
+        indicators._check_global_identities(group, sub, m, entries)
+        entries[-1] = replace(entries[-1], nu=entries[-1].nu + 1)
+        with pytest.raises(ArithmeticError, match=f"have y\\^{m} = e"):
+            indicators._check_global_identities(group, sub, m, entries)
+        monkeypatch.setattr(config, "ENUMERATION_BOUND", group.order() - 1)
+        indicators._check_global_identities(group, sub, m, entries)
+        monkeypatch.undo()
+
+
+def test_deep_scan_lists_no_stabilizer(monkeypatch):
+    # C(S11, tilde S8): every stabilizer is signed Young, so its square
+    # census comes from cycle types, and H is the one group listed
+    group, sub = sym(11), tilde_sym(10, degree=11)
+    listed = []
+    element_tuples = PermGroup.element_tuples
+
+    def watching(self):
+        listed.append(self)
+        return element_tuples(self)
+
+    monkeypatch.setattr(PermGroup, "element_tuples", watching)
+    category_scan(group, sub, 2)
+    assert listed and all(grp is sub for grp in listed)
+
+
+def test_every_square_census_of_a_tilde_scan_matches_the_listed_coset(
+        monkeypatch):
+    # C(S10, tilde S8): each census the scan reads off cycle types equals
+    # the class census of (w s)^2 over the listed stabilizer
+    seen = []
+    from_cycle_types = chartab.YoungClasses.square_census
+
+    def checked(cd, w):
+        counts = from_cycle_types(cd, w)
+        products = (perm._mul(w, s) for s in cd.group.element_tuples())
+        assert counts == cd.census(perm._mul(ws, ws) for ws in products)
+        seen.append(bool(cd._signed))
+        return counts
+
+    monkeypatch.setattr(chartab.YoungClasses, "square_census", checked)
+    category_scan(sym(10), tilde_sym(10), 2)
+    assert len(seen) == 5 and all(seen)
 
 
 def test_scan_frees_each_stabilizer_without_the_collector(monkeypatch):
