@@ -6,8 +6,9 @@ subgroup, so S <= Y.  If |S| = prod |O_j|!, then S = Y.  If |S| is half
 that, S has index 2 in Y, contains Y's commutator subgroup prod Alt(O_j),
 and so is the kernel K of eps_I(y) = prod_{j in I} sgn(y on O_j) for one
 nonempty set I of orbits: the one nonzero vector of F_2^J orthogonal to the
-orbit-sign vector of every generator.  Only the chain and the generators are
-read.  Every other group goes to Dixon's method below.
+orbit-sign vector of every generator.  PermGroup.young_shape recognises
+both, from the chain and the generators only.  Every other group goes to
+Dixon's method below.
 
 Classes.  A class of Y is a tuple of partitions mu = (mu_j), the cycle types
 on the orbits, of size prod |O_j|!/z_{mu_j}.  K holds the classes with
@@ -106,7 +107,7 @@ from itertools import product
 
 from . import config
 from .cyclo import ZERO, Cyclotomic, _prime_factors
-from .perm import BoundExceeded, Permutation, PermGroup, _inv, _mul
+from .perm import BoundExceeded, Permutation, PermGroup, _inv, _mul, _parity
 
 
 # -- conjugacy classes ------------------------------------------------------
@@ -228,74 +229,6 @@ def _centralizer_order(mu: tuple[int, ...]) -> int:
 def _splits(mu: tuple[int, ...]) -> bool:
     """Whether the cycle type mu has distinct odd parts."""
     return len(set(mu)) == len(mu) and all(part % 2 for part in mu)
-
-
-def _parity(word: list[int]) -> int:
-    """0 for an even permutation i -> word[i] of range(len(word)), 1 for odd."""
-    seen = [False] * len(word)
-    moved = 0
-    for i in range(len(word)):
-        if not seen[i]:
-            j = word[i]
-            seen[i] = True
-            while j != i:
-                seen[j] = True
-                moved += 1
-                j = word[j]
-    return moved & 1
-
-
-def _young_shape(group: PermGroup
-                 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-    """(orbits, signed) when group is the Young subgroup of its orbits
-    (signed empty) or the kernel of eps_I in it (signed lists I), else None.
-
-    orbits holds each orbit of two or more points as a sorted tuple, ordered
-    by least point.
-    """
-    n = group.degree
-    where = [-1] * n
-    orbits = []
-    for p in range(n):
-        if where[p] >= 0:
-            continue
-        orbit = [p]
-        where[p] = len(orbits)
-        for q in orbit:
-            for g in group.generators:
-                r = g._img[q]
-                if where[r] < 0:
-                    where[r] = len(orbits)
-                    orbit.append(r)
-        orbits.append(orbit)
-    orbits = [tuple(sorted(o)) for o in orbits if len(o) > 1]
-    full = math.prod(math.factorial(len(o)) for o in orbits)
-    if group.order() == full:
-        return tuple(orbits), ()
-    if 2 * group.order() != full:
-        return None
-    # the orbit-sign vectors of the generators span a hyperplane of F_2^J;
-    # reduce them (bit j for orbit j) and read off its orthogonal vector
-    rank = {p: i for o in orbits for i, p in enumerate(o)}
-    rows: dict[int, int] = {}
-    for g in group.generators:
-        v = 0
-        for j, o in enumerate(orbits):
-            v |= _parity([rank[g._img[p]] for p in o]) << j
-        for b, row in rows.items():
-            if v >> b & 1:
-                v ^= row
-        if v:
-            b = v.bit_length() - 1
-            for c in rows:
-                if rows[c] >> b & 1:
-                    rows[c] ^= v
-            rows[b] = v
-    free = [b for b in range(len(orbits)) if b not in rows]
-    assert len(free) == 1
-    f = free[0]
-    signed = sorted([f] + [b for b, row in rows.items() if row >> f & 1])
-    return tuple(orbits), tuple(signed)
 
 
 class YoungClasses(_Classes):
@@ -494,7 +427,7 @@ def conjugacy_classes(group: PermGroup) -> ClassData | YoungClasses:
     """The one class object of a group: read off partitions for a Young or
     signed-Young group, by the class BFS otherwise."""
     if group._class_data is None:
-        shape = _young_shape(group)
+        shape = group.young_shape()
         group._class_data = (ClassData(group) if shape is None
                              else YoungClasses(group, *shape))
     return group._class_data

@@ -26,11 +26,11 @@ the scan uses the stabilizer sum at an adjusted representative, or the
 classical indicator when that representative lies in H.  The stabilizer sum
 reads the class census of the squares of the coset wS(g) from the class
 object (chartab's square_census): from cycle types when S(g) is a Young or
-signed-Young group, by listing S(g) otherwise.  For m != 2 it uses the
-defining sum, which lists H.  Only one coset per orbit under the letters H
-fixes is computed (see cosets); the others move its rows along
-conjugation, and a check of two global identities at the end sees every
-row.
+signed-Young group, by listing S(g) otherwise; H itself is only walked
+and sifted.  For m != 2 it uses the defining sum, which lists H.  Only one
+coset per orbit under the letters H fixes is computed (see cosets); the
+others move its rows along conjugation, and a check of two global
+identities at the end sees every row.
 """
 from __future__ import annotations
 
@@ -41,6 +41,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 from . import config
 from .chartab import (
@@ -55,8 +57,8 @@ from .chartab import (
 )
 from .cosets import DoubleCosetDecomposition, double_cosets, stabilizer
 from .cyclo import ZERO, Cyclotomic
-from .perm import (PermGroup, Permutation, _conj, _identity, _inv, _mul,
-                   _raw_pow, conjugate)
+from .perm import (BoundExceeded, PermGroup, Permutation, _conj, _identity,
+                   _inv, _mul, _raw_pow, _sift, conjugate)
 
 
 def _check_m(m: int) -> None:
@@ -132,12 +134,15 @@ def two_power_rep(g: Permutation, sub: PermGroup) -> Permutation | None:
 
     Starting from any g' in gH with g'^2 in H, the odd-power g'^(2l+1) stays
     in the coset (its excess factor (g'^2)^l lies in H) and has 2-power order.
+    g' is the first g x, x in H's element_tuples order, with (g x)^2 in H.
+    That order is the product of the chain's sorted transversals, walked
+    here one element at a time, with each square sifted: H is not listed.
     """
-    members = sub.element_set()
-    g_raw = g._img
-    for x in sub.element_tuples():
-        c = _mul(g_raw, x)
-        if _mul(c, c) in members:
+    levels = sub._chain()
+    idt = _identity(sub.degree)
+    for us in product(*sub._transversals()):
+        c = reduce(_mul, us, g._img)
+        if _sift(levels, _mul(c, c)) == idt:
             p = Permutation._from_raw(c)
             odd = p.order
             while odd % 2 == 0:
@@ -152,10 +157,9 @@ def nu2_stab(g: Permutation, chi: Character, sub: PermGroup) -> int:
     Requires g outside H with g^2 in H; then (g x)^2 lies in S(g) for every
     x in S(g) and the H-sum collapses to this one, without conjugating chi.
     """
-    members = sub.element_set()
-    if g._img in members:
+    if sub.member(g):
         raise ValueError("representative lies in the subgroup")
-    if _mul(g._img, g._img) not in members:
+    if not sub.member(g * g):
         raise ValueError("square of the representative must lie in the subgroup")
     cd = chi.classes
     counts = cd.square_census(g._img)
@@ -165,13 +169,12 @@ def nu2_stab(g: Permutation, chi: Character, sub: PermGroup) -> int:
 
 def index_two_overgroup(g: Permutation, stab: PermGroup) -> PermGroup:
     """S + gS, generated by S and g; g must square into S and normalize it."""
-    members = stab.element_set()
-    if _mul(g._img, g._img) not in members:
+    if not stab.member(g * g):
         raise ValueError("g^2 must lie in the stabilizer")
     for s in stab.generators:
-        if _conj(g._img, s._img) not in members:
+        if not stab.member(conjugate(g, s)):
             raise ValueError("g must normalize the stabilizer")
-    if g._img in members:
+    if stab.member(g):
         raise ValueError("g already lies in the stabilizer")
     big = PermGroup(stab.degree, stab.generators + (g,))
     if big.order() != 2 * stab.order():
@@ -430,20 +433,23 @@ def _stabilizer_classes(decomposition: DoubleCosetDecomposition
 
 
 def _power_roots(group: PermGroup, m: int) -> int | None:
-    """#{y in group : y^m = e} when group is the symmetric or alternating
-    group of its degree (recognised by its order), counted from cycle types;
-    None for any other group.
+    """#{y in group : y^m = e} when group is a Young or signed-Young group
+    (PermGroup.young_shape; S_n and A_n have one orbit), counted from cycle
+    types; None for any other group.
 
     even[k] and odd[k] count the even and odd permutations of k letters with
     y^m = e; the cycle through the first letter has some length d dividing m,
-    in (k-1)!/(k-d)! ways, and parity d - 1.
+    in (k-1)!/(k-d)! ways, and parity d - 1.  On Y = prod Sym(O_j) the count
+    is prod_j (e_j + o_j), with e_j and o_j those of |O_j| letters.  On
+    K = ker eps_I the orbits in I take an even total parity, so their factor
+    is (prod_{j in I} (e_j + o_j) + prod_{j in I} (e_j - o_j)) / 2.
     """
-    n = group.degree
-    full = math.factorial(n)
-    if group.order() not in (full, full // 2):
+    shape = group.young_shape()
+    if shape is None:
         return None
+    orbits, signed = shape
     even, odd = [1], [0]
-    for k in range(1, n + 1):
+    for k in range(1, max(map(len, orbits), default=0) + 1):
         e = o = 0
         for d in range(1, k + 1):
             if m % d:
@@ -455,16 +461,23 @@ def _power_roots(group: PermGroup, m: int) -> int | None:
                 e, o = e + ways * odd[k - d], o + ways * even[k - d]
         even.append(e)
         odd.append(o)
-    return even[n] + (odd[n] if group.order() == full else 0)
+    rest = plus = minus = 1
+    for j, orbit in enumerate(orbits):
+        e, o = even[len(orbit)], odd[len(orbit)]
+        if j in signed:
+            plus, minus = plus * (e + o), minus * (e - o)
+        else:
+            rest *= e + o
+    return rest * (plus + minus) // 2
 
 
 def _check_global_identities(group: PermGroup, sub: PermGroup, m: int,
                              entries) -> None:
     """Column orthogonality over G, with dim = [H:S(g)] * chi(1): the
     dimensions square-sum to |G|, and sum dim * nu_m counts the y in G with
-    y^m = e.  The count comes from cycle types when G is a symmetric or
-    alternating group, from G's elements when G is within the enumeration
-    bound, and is skipped otherwise.
+    y^m = e.  The count comes from cycle types when G is a Young or
+    signed-Young group (such as S_n and A_n), from G's elements when G is
+    within the enumeration bound, and is skipped otherwise.
 
     The second identity holds for every G: sum_chi chi(1) conj(chi)(z) =
     |S| delta_{z,e} turns sum dim * nu_m into the sum over the left cosets
@@ -529,18 +542,22 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     self-inverse.  Otherwise the first coset the scan reaches of each orbit
     under the free letters (DoubleCoset.root) computes its rows: m = 2 takes
     the stabilizer-only sum at an adjusted representative, every other m the
-    defining H-sum.  The stabilizer sum's square census comes from cycle
-    types when the stabilizer is a Young or signed-Young group, which is
-    then never enumerated, and from a list of its elements otherwise (such
-    as C(S8, C8)'s); the defining sum lists H.  The other cosets of that
-    orbit move those rows along conjugation (DoubleCoset.conj), and the
-    moved data are dropped once the orbit's last coset is done.  Rows are
-    emitted in double-coset order, each in its own table's order.
+    defining H-sum.  At m = 2 no element of H is listed: two_power_rep walks
+    H lazily until a square sifts into it, and the adjusted representative
+    is tested for membership by a sift.  The stabilizer sum's square census
+    comes from cycle types when the stabilizer is a Young or signed-Young
+    group, which is then never enumerated, and from a list of its elements
+    otherwise (such as C(S8, C8)'s); the defining sum lists H.  The other
+    cosets of that orbit move those rows along conjugation
+    (DoubleCoset.conj), and the moved data are dropped once the orbit's last
+    coset is done.  Rows are emitted in double-coset order, each in its own
+    table's order.  An H over the enumeration bound raises BoundExceeded
+    before the coset walk, at every m.
 
     At the end the global identities are checked: the squared dimensions
     [H:S(g)] * chi(1) sum to |G|, and sum dim * nu_m equals
-    #{y in G : y^m = e}, counted from cycle types when G is a symmetric or
-    alternating group and from G's elements otherwise.  A G of neither kind
+    #{y in G : y^m = e}, counted from cycle types when G is a Young or
+    signed-Young group and from G's elements otherwise.  A G of neither kind
     over the enumeration bound gets only the first check.  A failure raises
     ArithmeticError.  Tables are deterministic; seed is accepted for
     compatibility and affects nothing.  m must be a positive integer.
@@ -548,9 +565,10 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     _check_m(m)
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
-    # Enumerate H before the coset walk, so an oversized H trips the
-    # enumeration bound at once.
-    members = sub.element_set()
+    # An oversized H trips the enumeration bound before the coset walk.
+    limit = config.ENUMERATION_BOUND
+    if sub.order() > limit:
+        raise BoundExceeded("enumeration bound", limit, sub.order())
     decomposition = double_cosets(group, sub)
     rows: list[list[IndicatorEntry]] = [[] for _ in decomposition.cosets]
     classes = _stabilizer_classes(decomposition)
@@ -577,7 +595,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                     raise ArithmeticError(
                         f"self-inverse double coset of {g.to_text()} has no "
                         "element squaring into the subgroup")
-                if w._img in members:
+                if sub.member(w):
                     nus = [_as_int(nu_classical(chi), "classical nu_2")
                            for chi in table.characters]
                 else:

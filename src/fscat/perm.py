@@ -77,6 +77,21 @@ def _min_moved(a: tuple[int, ...]) -> int | None:
     return None
 
 
+def _parity(word: list[int]) -> int:
+    """0 for an even permutation i -> word[i] of range(len(word)), 1 for odd."""
+    seen = [False] * len(word)
+    moved = 0
+    for i in range(len(word)):
+        if not seen[i]:
+            j = word[i]
+            seen[i] = True
+            while j != i:
+                seen[j] = True
+                moved += 1
+                j = word[j]
+    return moved & 1
+
+
 def _raw_cycles(img: tuple[int, ...]) -> list[list[int]]:
     seen = [False] * len(img)
     out = []
@@ -343,6 +358,8 @@ class PermGroup:
         self._order: int | None = None
         self._elem_tuples: list[tuple[int, ...]] | None = None
         self._elem_set: frozenset | None = None
+        # young_shape(), once computed (None is one of its results)
+        self._shape = False
         # filled by chartab.conjugacy_classes and chartab.character_table
         self._class_data = None
         self._char_table = None
@@ -381,7 +398,76 @@ class PermGroup:
             return False
         return all(other.member(g) for g in self.generators)
 
+    def young_shape(self
+                    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+        """(orbits, signed) when the group is the Young subgroup of its
+        orbits (signed empty) or the kernel of eps_I in it (signed lists I),
+        else None; computed once.
+
+        orbits holds each orbit of two or more points as a sorted tuple,
+        ordered by least point.  The group is Y = prod Sym(O_j) when its
+        order is prod |O_j|!.  At half that it has index 2 in Y, so it is the
+        kernel of eps_I(y) = prod_{j in I} sgn(y on O_j) for the one nonzero
+        I in F_2^J orthogonal to the orbit-sign vector of every generator.
+        """
+        if self._shape is False:
+            self._shape = self._find_young_shape()
+        return self._shape
+
+    def _find_young_shape(self):
+        n = self.degree
+        where = [-1] * n
+        orbits = []
+        for p in range(n):
+            if where[p] >= 0:
+                continue
+            orbit = [p]
+            where[p] = len(orbits)
+            for q in orbit:
+                for g in self.generators:
+                    r = g._img[q]
+                    if where[r] < 0:
+                        where[r] = len(orbits)
+                        orbit.append(r)
+            orbits.append(orbit)
+        orbits = [tuple(sorted(o)) for o in orbits if len(o) > 1]
+        full = math.prod(math.factorial(len(o)) for o in orbits)
+        if self.order() == full:
+            return tuple(orbits), ()
+        if 2 * self.order() != full:
+            return None
+        # the orbit-sign vectors of the generators span a hyperplane of F_2^J;
+        # reduce them (bit j for orbit j) and read off its orthogonal vector
+        rank = {p: i for o in orbits for i, p in enumerate(o)}
+        rows: dict[int, int] = {}
+        for g in self.generators:
+            v = 0
+            for j, o in enumerate(orbits):
+                v |= _parity([rank[g._img[p]] for p in o]) << j
+            for b, row in rows.items():
+                if v >> b & 1:
+                    v ^= row
+            if v:
+                b = v.bit_length() - 1
+                for c in rows:
+                    if rows[c] >> b & 1:
+                        rows[c] ^= v
+                rows[b] = v
+        free = [b for b in range(len(orbits)) if b not in rows]
+        assert len(free) == 1
+        f = free[0]
+        signed = sorted([f] + [b for b, row in rows.items() if row >> f & 1])
+        return tuple(orbits), tuple(signed)
+
     # -- enumeration --------------------------------------------------------
+
+    def _transversals(self) -> list[list[tuple[int, ...]]]:
+        """The transversal of each level with an orbit of two or more
+        points, sorted by orbit point, top level first.  Every element is
+        one product u_0 * u_1 * ... of one entry of each; element_tuples
+        lists them in itertools.product order."""
+        return [[lv.orbit[p] for p in sorted(lv.orbit)]
+                for lv in self._chain() if len(lv.orbit) > 1]
 
     def element_tuples(self) -> list[tuple[int, ...]]:
         """All elements as raw 0-based image tuples, in stabilizer-chain order."""
@@ -390,12 +476,8 @@ class PermGroup:
         limit = config.ENUMERATION_BOUND
         if self.order() > limit:
             raise BoundExceeded("enumeration bound", limit, self.order())
-        levels = self._chain()
         out = [_identity(self.degree)]
-        for lv in reversed(levels):
-            if len(lv.orbit) == 1:
-                continue
-            trans = [lv.orbit[p] for p in sorted(lv.orbit)]
+        for trans in reversed(self._transversals()):
             out = [_mul(u, g) for u in trans for g in out]
         assert len(out) == self.order()
         self._elem_tuples = out
@@ -412,7 +494,52 @@ class PermGroup:
     # -- cosets -------------------------------------------------------------
 
     def coset_min(self, y: tuple[int, ...]) -> tuple[int, ...]:
-        """Lexicographically least image tuple in the left coset y * self."""
+        """Lexicographically least image tuple in the left coset y * self.
+
+        For s in the group, y * s holds y's values on each orbit O of the
+        group, rearranged among O's positions.  On a group with a Young shape
+        the least element is read off directly:
+          * Y = prod Sym(O_j) gives every rearrangement, and z, y with its
+            values sorted within each orbit's positions, is the least: take
+            the first position p where another element of yY differs from
+            z, in orbit O.  Both hold the same values at O's positions
+            before p, and z holds the least of the others at p, so the other
+            element is larger there.
+          * For K = ker eps_I, z = y * s0 with s0 in Y.  yK is zK when
+            eps_I(s0), the product of the signs of the sorts on the orbits
+            of I, is +1, and z * (Y - K) otherwise.  In the second case,
+            every z * t first differs from z at t's least moved point p,
+            where it holds z(t(p)) with t(p) a later position of p's orbit,
+            so a larger value; the later p, the smaller z * t.  t is odd on
+            some O_j in I, so it moves two points of O_j, and p is at most
+            the second-to-last position of O_j.  That bound is largest for
+            the j in I whose second-to-last position is largest, and only
+            the swap of O_j's last two positions reaches it there: every
+            other orbit of I has at most one position after it.  Any other
+            t with the same p also moves later points, of orbits sorted in
+            z, so z * t is larger.
+        Every other group walks its stabilizer chain.
+        """
+        shape = self.young_shape()
+        if shape is not None:
+            orbits, signed = shape
+            out = list(y)
+            odd = 0
+            last = None
+            for j, o in enumerate(orbits):
+                values = [y[p] for p in o]
+                if j in signed:
+                    odd ^= (values[0] > values[1] if len(o) == 2 else
+                            _parity(sorted(range(len(o)),
+                                           key=values.__getitem__)))
+                    if last is None or o[-2] > last[-2]:
+                        last = o
+                values.sort()
+                for p, v in zip(o, values):
+                    out[p] = v
+            if odd:
+                out[last[-2]], out[last[-1]] = out[last[-1]], out[last[-2]]
+            return tuple(out)
         cur = y
         for lv in self._chain():
             if len(lv.orbit) == 1:

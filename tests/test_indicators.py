@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fscat import chartab, config, indicators, perm
@@ -45,6 +45,8 @@ from fscat.perm import (
     tilde_sym,
     trivial,
 )
+
+from test_chartab import young_case, young_groups
 
 P = Permutation.from_text
 
@@ -417,7 +419,11 @@ def test_scan_rejects_a_missing_character(monkeypatch):
         table = table_of(grp, *args, **kwargs)
         return SimpleNamespace(characters=table.characters[:-1])
 
-    group, sub = sym_embed(5, 6), sym_embed(3, 6)
+    # PGL(2, 5), transitive on the projective line, has no Young shape
+    group = PermGroup(6, [P("(1,2,3,4,5)", 6), P("(2,3,5,4)", 6),
+                          P("(1,6)(2,5)", 6)])
+    sub = PermGroup(6, [P("(1,2,3,4,5)", 6), P("(2,3,5,4)", 6)])
+    assert group.order() == 120
     assert indicators._power_roots(group, 2) is None
     category_scan(group, sub, 2)
     monkeypatch.setattr(indicators, "character_table", short_table)
@@ -499,10 +505,8 @@ def test_roots_of_any_group_within_the_bound_are_checked(monkeypatch, name):
         monkeypatch.undo()
 
 
-def test_deep_scan_lists_no_stabilizer(monkeypatch):
-    # C(S11, tilde S8): every stabilizer is signed Young, so its square
-    # census comes from cycle types, and H is the one group listed
-    group, sub = sym(11), tilde_sym(10, degree=11)
+def watch_listing(monkeypatch) -> list:
+    """The groups whose elements get listed from now on, in call order."""
     listed = []
     element_tuples = PermGroup.element_tuples
 
@@ -511,8 +515,17 @@ def test_deep_scan_lists_no_stabilizer(monkeypatch):
         return element_tuples(self)
 
     monkeypatch.setattr(PermGroup, "element_tuples", watching)
+    return listed
+
+
+def test_deep_scan_lists_no_stabilizer(monkeypatch):
+    # C(S11, tilde S8): every stabilizer is signed Young, so its square
+    # census comes from cycle types; H is walked by sifting, and no group
+    # is listed
+    group, sub = sym(11), tilde_sym(10, degree=11)
+    listed = watch_listing(monkeypatch)
     category_scan(group, sub, 2)
-    assert listed and all(grp is sub for grp in listed)
+    assert not listed
 
 
 def test_every_square_census_of_a_tilde_scan_matches_the_listed_coset(
@@ -594,3 +607,108 @@ def test_reduction_guards():
         reduction_check(P("(4,5,6)", 6), P("(1,2)", 6), H, F)
     with pytest.raises(ValueError):
         reduction_check(P("(5,6)", 6), P("(4,5)", 6), H, F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(young_groups())
+@example(young_case([[0, 1, 2, 3, 4, 5, 6, 7]], [], 8))
+@example(young_case([[0, 1, 2, 3, 4, 5, 6, 7]], [0], 8))
+@example(young_case([[0, 2, 4], [1, 3, 5, 6], [7]], [0, 1], 8))
+@example(young_case([[0, 1, 2], [3, 4, 5], [6, 7]], [0, 1, 2], 8))
+@example(young_case([[0, 1, 2, 3], [4, 5], [6, 7]], [1], 8))
+@example(young_case([[0, 3], [1, 4], [2, 5]], [0, 2], 6))
+def test_power_roots_of_young_groups_match_the_listed_counts(case):
+    gens, n, order = case
+    group = PermGroup(n, gens)
+    assert group.order() == order
+    orders = Counter(Permutation._from_raw(y).order
+                     for y in group.element_tuples())
+    for m in range(1, 13):
+        roots = sum(k for o, k in orders.items() if m % o == 0)
+        assert indicators._power_roots(group, m) == roots
+
+
+def test_global_identities_list_no_young_group(monkeypatch):
+    # C(S8 x Sym{9,10}, Sym{1..7}): G is Young, so its roots come from
+    # cycle types, and a scan at m = 2 lists no group at all
+    group = PermGroup(10, [P("(1,2)", 10), P("(1,2,3,4,5,6,7,8)", 10),
+                           P("(9,10)", 10)])
+    sub = sym_embed(7, 10)
+    listed = watch_listing(monkeypatch)
+    report = category_scan(group, sub, 2)
+    assert not listed
+    assert indicators._power_roots(group, 2) == 764 * 2
+    assert len(report.entries) == 52
+
+
+def _listed_two_power_rep(g, sub):
+    members = sub.element_set()
+    for x in sub.element_tuples():
+        c = perm._mul(g._img, x)
+        if perm._mul(c, c) in members:
+            p = Permutation._from_raw(c)
+            odd = p.order
+            while odd % 2 == 0:
+                odd //= 2
+            return p ** odd
+    return None
+
+
+@pytest.mark.parametrize("group, sub, tries", [
+    (sym(9), tilde_sym(7, degree=9), 61),
+    (sym(8), cyclic(8), 8),
+    # a chain whose first orbit is not found in increasing order
+    (sym(8), PermGroup(8, [P("(1,3,5,7,2,4,6,8)")]), 8),
+], ids=["S9-tildeS7", "S8-C8", "S8-C8-unsorted"])
+def test_two_power_rep_matches_the_listed_walk(monkeypatch, group, sub, tries):
+    # the lazy walk over the chain's transversals visits H in
+    # element_tuples order, sifting (g x)^2, so it picks the same w as a
+    # walk over the list; the deepest first root of a coset is the
+    # tries-th element of H
+    listed = sub.element_tuples()
+    sifted = []
+    sift = indicators._sift
+
+    def recording(levels, g, start=0):
+        sifted.append(g)
+        return sift(levels, g, start)
+
+    monkeypatch.setattr(indicators, "_sift", recording)
+    deepest = 0
+    for dc in double_cosets(group, sub):
+        sifted.clear()
+        w = two_power_rep(dc.rep, sub)
+        assert w == _listed_two_power_rep(dc.rep, sub)
+        assert (w is not None) == dc.self_inverse
+        products = (perm._mul(dc.rep._img, x) for x in listed)
+        assert sifted == [perm._mul(c, c) for c in products][:len(sifted)]
+        if w is not None:
+            deepest = max(deepest, len(sifted))
+    assert deepest == tries
+
+
+def test_scan_refuses_an_oversized_subgroup_before_the_coset_walk(
+        monkeypatch):
+    def no_walk(group, sub):
+        raise AssertionError("double_cosets called")
+
+    monkeypatch.setattr(indicators, "double_cosets", no_walk)
+    monkeypatch.setattr(config, "ENUMERATION_BOUND", 5039)
+    for m in (2, 3):
+        with pytest.raises(perm.BoundExceeded) as exc:
+            category_scan(sym(8), sym_embed(7, 8), m)
+        assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
+            "enumeration bound", 5039, 5040)
+
+
+def test_degree_two_routes_test_membership_by_sifting(monkeypatch):
+    # nu2_stab and index_two_overgroup test w, w^2 and w's conjugates of the
+    # generators by member; neither lists H or S(g)
+    sub = tilde_sym(7, degree=9)
+    w = P("(1,8)(2,9)", 9)
+    stab = stabilizer(w, sub)
+    chi = character_table(stab).characters[-1]
+    listed = watch_listing(monkeypatch)
+    nu2_stab(w, chi, sub)
+    index_two_overgroup(w, stab)
+    assert not listed

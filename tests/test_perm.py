@@ -5,7 +5,7 @@ import gc
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fscat.perm import (
@@ -28,6 +28,7 @@ from fscat.perm import (
     tilde_sym,
     trivial,
 )
+from test_chartab import young_case, young_groups
 
 P = Permutation.from_text
 
@@ -329,3 +330,51 @@ def test_coset_min_is_coset_invariant(y, h):
     if h not in grp:
         h = Permutation.identity(5)
     assert grp.coset_min(y._img) == grp.coset_min((y * h)._img)
+
+
+def _young_coset_case(orbits, signed, n, *ys):
+    gens, n, _ = young_case(orbits, signed, n)
+    return gens, n, [P(y, n)._img for y in ys]
+
+
+@st.composite
+def young_cosets(draw):
+    """(generators, degree, some y) for a Young or signed-Young group on at
+    most 8 points, with orbits in any position, fixed points and any set of
+    signed orbits (young_groups)."""
+    gens, n, _ = draw(young_groups())
+    ys = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6))
+    return gens, n, [tuple(y) for y in ys]
+
+
+@settings(max_examples=150, deadline=None)
+@given(young_cosets())
+# one signed orbit, so an odd sort swaps its last two positions
+@example(_young_coset_case([[0, 1, 2, 3]], [0], 5, "(1,2)", "(1,5)", "(3,4,5)"))
+# the signed orbit with the largest second-to-last position is the first
+# one, though the other holds the last position
+@example(_young_coset_case([[0, 1, 7], [2, 3, 4, 5, 6]], [0, 1], 8,
+                           "(1,2)", "(6,7)", "(1,8)(3,4,5)", "(2,8,3)"))
+# orbits interleaved, an unsigned orbit after the signed ones, fixed points
+@example(_young_coset_case([[0, 3, 6], [1, 4], [2, 7]], [0, 1], 8,
+                           "(1,4)", "(2,5)(3,8)", "(1,2,3,4,5,6,7,8)"))
+@example(_young_coset_case([[1, 2, 4], [5, 6]], [0], 8,
+                           "(2,3)", "(1,2)(7,8)", "(3,5,6,7)"))
+@example(_young_coset_case([[0, 2, 4, 6, 7], [1, 3, 5]], [], 8,
+                           "(1,2,3,4,5,6,7,8)", "(1,8)"))
+def test_sorted_coset_min_matches_the_chain_walk(case):
+    gens, n, ys = case
+    group, walked = PermGroup(n, gens), PermGroup(n, gens)
+    assert group.young_shape() is not None
+    walked._shape = None  # no shape: the chain walk
+    for y in ys:
+        assert group.coset_min(y) == walked.coset_min(y)
+
+
+def test_young_shape_is_computed_once():
+    group = tilde_sym(6, degree=7)
+    shape = group.young_shape()
+    assert shape == (((0, 1), (2, 3, 4, 5)), (0, 1))
+    assert group.young_shape() is shape
+    assert PermGroup(8, [P("(1,2,3,4,5,6,7,8)")]).young_shape() is None
+    assert trivial(3).young_shape() == ((), ())
