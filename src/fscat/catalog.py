@@ -374,6 +374,8 @@ _FULL_EXTRA = [
 _EXTENDED_EXTRA = [
     ("thm-tilde", {"n": 11}),
     ("thm-tilde-plus1", {"n": 11}),
+    *[("thm-An", {"n": n}) for n in range(10, 15)],
+    *[("thm-tilde", {"n": n}) for n in range(12, 19)],
 ]
 
 _PROFILES = {
@@ -387,7 +389,8 @@ def run_all(profile: str = "quick") -> list[VerificationReport]:
     """Run the registry over a fixed parameter schedule.
 
     quick stays at degree <= 7; full adds the degree 8..12 instances;
-    extended adds the degree-11 tilde scans to full.
+    extended adds to full the degree-11 tilde scans, thm-An for n = 10..14
+    and thm-tilde for n = 12..18.
     """
     try:
         schedule = _PROFILES[profile]

@@ -89,8 +89,9 @@ of class C costs |C| * r products for r classes, and the split often ends
 after a few small classes (two of the 22 for S_8).  It is deterministic.
 
 Both routes check the degree sum and the orthonormality of every pair of
-rows, and sort the rows by degree, then by values.  Both refuse a group
-over the enumeration bound, as the class BFS does.
+rows, and sort the rows by degree, then by values.  Both refuse a table
+of r^2 entries over the enumeration bound; the class BFS, which lists the
+group, also refuses a group over it.
 
 The map from elements to classes is private to this module.  Other modules
 read it through the class object: index_of for one raw element, census for
@@ -243,9 +244,6 @@ class YoungClasses(_Classes):
 
     def __init__(self, group: PermGroup, orbits: tuple[tuple[int, ...], ...],
                  signed: tuple[int, ...]):
-        limit = config.ENUMERATION_BOUND
-        if group.order() > limit:
-            raise BoundExceeded("enumeration bound", limit, group.order())
         self.group = group
         self._orbits = orbits
         self._signed = signed
@@ -545,9 +543,13 @@ class CharacterTable:
 def character_table(group: PermGroup) -> CharacterTable:
     """Exact character table, built once per group object: read off
     partitions for a Young or signed-Young group, by Dixon's method
-    otherwise."""
+    otherwise.  A table of more than config.ENUMERATION_BOUND entries
+    raises BoundExceeded before it is built."""
     if group._char_table is None:
         cd = conjugacy_classes(group)
+        limit = config.ENUMERATION_BOUND
+        if len(cd) ** 2 > limit:
+            raise BoundExceeded("enumeration bound", limit, len(cd) ** 2)
         group._char_table = (_young_table(cd) if isinstance(cd, YoungClasses)
                              else _dixon(cd))
     return group._char_table

@@ -207,12 +207,6 @@ class Cyclotomic:
 
     __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, coeffs):
-        if n < 1:
-            raise ValueError("conductor must be positive")
-        x = Cyclotomic.from_exponents(n, dict(enumerate(coeffs)))
-        self.n, self.num, self.den = x.n, x.num, x.den
-
     @classmethod
     def _raw(cls, n: int, num: tuple[int, ...], den: int) -> "Cyclotomic":
         x = object.__new__(cls)

@@ -57,8 +57,8 @@ from .chartab import (
 )
 from .cosets import DoubleCosetDecomposition, double_cosets, stabilizer
 from .cyclo import ZERO, Cyclotomic
-from .perm import (BoundExceeded, PermGroup, Permutation, _conj, _identity,
-                   _inv, _mul, _raw_pow, _sift, conjugate)
+from .perm import (PermGroup, Permutation, _conj, _identity, _inv, _mul,
+                   _raw_pow, _sift, conjugate)
 
 
 def _check_m(m: int) -> None:
@@ -551,8 +551,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     cosets of that orbit move those rows along conjugation
     (DoubleCoset.conj), and the moved data are dropped once the orbit's last
     coset is done.  Rows are emitted in double-coset order, each in its own
-    table's order.  An H over the enumeration bound raises BoundExceeded
-    before the coset walk, at every m.
+    table's order.
 
     At the end the global identities are checked: the squared dimensions
     [H:S(g)] * chi(1) sum to |G|, and sum dim * nu_m equals
@@ -565,10 +564,6 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     _check_m(m)
     if not sub.is_subgroup_of(group):
         raise ValueError("not a subgroup")
-    # An oversized H trips the enumeration bound before the coset walk.
-    limit = config.ENUMERATION_BOUND
-    if sub.order() > limit:
-        raise BoundExceeded("enumeration bound", limit, sub.order())
     decomposition = double_cosets(group, sub)
     rows: list[list[IndicatorEntry]] = [[] for _ in decomposition.cosets]
     classes = _stabilizer_classes(decomposition)

@@ -14,6 +14,8 @@ import pytest
 
 from fscat import cosets
 from fscat.catalog import claim_ids, run_all, verify
+from fscat.indicators import category_scan
+from fscat.perm import alt, tilde_sym
 
 
 def test_registry_lists_all_claims():
@@ -45,7 +47,8 @@ def test_bad_parameters_are_rejected():
 
 
 def test_oversized_instances_come_back_skipped():
-    report = verify("thm-tilde", n=14)
+    # the twisted lemma lists A_10, 1,814,400 elements
+    report = verify("lemma-twisted-An", n=10)
     assert report.status == "skipped"
     assert not report.ok
     assert "enumeration bound" in report.detail
@@ -165,6 +168,20 @@ def test_shifted_tilde_failures_include_even_cosets(full_reports):
                                           n=6, k=2).detail
     assert "(1,3)(2,4)(9,10,11)" in _status(full_reports, "thm-tilde-plus1",
                                             n=10).detail
+
+
+def test_alternating_tilde_subcategory_is_clean_exactly_on_the_stated_set():
+    # C(A_n, tilde S_{n-2}) is the even double cosets of the full category;
+    # past n = 11 only the scan's m = 2 route, which lists no element of
+    # tilde S_{n-2}, reaches it within the enumeration bound
+    clean = {n for n in range(4, 15)
+             if set(category_scan(alt(n), tilde_sym(n), 2).values()) <= {0, 1}}
+    assert clean == {4, 5, 6, 9, 10, 14}
+    # the full category keeps a -1 on the odd flip coset at 14
+    report = verify("thm-tilde", n=14)
+    assert report.status == "fail"
+    assert "(1,3)(2,4)(13,14) chi of degree 448 gives -1" in report.detail
+    assert "(1,3)(2,4)(13,14) chi of degree 768 gives -1" in report.detail
 
 
 def test_full_profile_positive_highlights(full_reports):

@@ -488,14 +488,23 @@ def test_routes_of_the_stabilizers():
 
 
 def test_both_routes_refuse_the_same_bound(monkeypatch):
+    # the class BFS lists the group; the partition route lists nothing, and
+    # a table of r classes lists r^2 entries on either route
     monkeypatch.setattr(config, "ENUMERATION_BOUND", 100)
-    for make in (lambda: conjugacy_classes(sym(5)), lambda: ClassData(sym(5)),
-                 lambda: character_table(alt(6))):
+    with pytest.raises(BoundExceeded) as exc:
+        ClassData(sym(5))
+    assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
+        "enumeration bound", 100, 120)
+    assert isinstance(conjugacy_classes(sym(5)), YoungClasses)
+    # 11 classes each: S_6 on the partition route, C_11 by Dixon
+    for group in (sym(6), cyclic(11)):
         with pytest.raises(BoundExceeded) as exc:
-            make()
-        assert exc.value.bound_name == "enumeration bound"
-        assert exc.value.limit == 100
-        assert exc.value.needed in (120, 360)
+            character_table(group)
+        assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
+            "enumeration bound", 100, 121)
+    monkeypatch.setattr(config, "ENUMERATION_BOUND", 121)
+    for group in (sym(6), cyclic(11)):
+        assert len(character_table(group).characters) == 11
 
 
 @pytest.mark.parametrize("q", [1, 5, -3, -7, 9, 21, -15, 45, 105, -11 * 9])

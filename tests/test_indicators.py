@@ -687,18 +687,18 @@ def test_two_power_rep_matches_the_listed_walk(monkeypatch, group, sub, tries):
     assert deepest == tries
 
 
-def test_scan_refuses_an_oversized_subgroup_before_the_coset_walk(
+def test_scan_meets_the_enumeration_bound_only_where_it_lists_the_subgroup(
         monkeypatch):
-    def no_walk(group, sub):
-        raise AssertionError("double_cosets called")
-
-    monkeypatch.setattr(indicators, "double_cosets", no_walk)
+    # at m = 2 no element of H is listed, so an H over the bound scans as
+    # it does within it; at m = 3 the defining sum lists H
+    group, sub = sym(8), sym_embed(7, 8)
+    expected = category_scan(group, sub, 2).to_json()
     monkeypatch.setattr(config, "ENUMERATION_BOUND", 5039)
-    for m in (2, 3):
-        with pytest.raises(perm.BoundExceeded) as exc:
-            category_scan(sym(8), sym_embed(7, 8), m)
-        assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
-            "enumeration bound", 5039, 5040)
+    assert category_scan(group, sub, 2).to_json() == expected
+    with pytest.raises(perm.BoundExceeded) as exc:
+        category_scan(group, sub, 3)
+    assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
+        "enumeration bound", 5039, 5040)
 
 
 def test_degree_two_routes_test_membership_by_sifting(monkeypatch):
