@@ -90,8 +90,9 @@ after a few small classes (two of the 22 for S_8).  It is deterministic.
 
 Both routes check the degree sum and the orthonormality of every pair of
 rows, and sort the rows by degree, then by values.  Both refuse a table
-of r^2 entries over the enumeration bound; the class BFS, which lists the
-group, also refuses a group over it.
+of r^2 entries over the enumeration bound, and each refuses to list more
+than it allows: the class BFS group elements, the partition route its r
+columns, counted before any is listed.
 
 The map from elements to classes is private to this module.  Other modules
 read it through the class object: index_of for one raw element, census for
@@ -232,6 +233,29 @@ def _splits(mu: tuple[int, ...]) -> bool:
     return len(set(mu)) == len(mu) and all(part % 2 for part in mu)
 
 
+def _column_count(orbits, signed) -> int:
+    """How many columns YoungClasses lists, counted without listing them.
+
+    Y has T = prod p(|O_j|) classes, p(a) the partitions of a.  Summed over
+    them, (-1)^(a - len) gives d(a), the partitions into distinct odd parts
+    (Euler: prod_k 1/(1 - (-1)^(k-1) q^k) = prod_{k odd} (1 + q^k)).  So
+    with S = prod_{j in I} d(|O_j|) * prod_{j not in I} p(|O_j|), K keeps
+    (T + S)/2 of the T tuples, and S of those split.
+    """
+    total = split = 1
+    for j, o in enumerate(orbits):
+        a = len(o)
+        p, d = [1] + [0] * a, [1] + [0] * a
+        for k in range(1, a + 1):
+            for i in range(k, a + 1):
+                p[i] += p[i - k]
+            for i in range(a, k - 1, -1) if k % 2 else ():
+                d[i] += d[i - k]
+        total *= p[a]
+        split *= d[a] if j in signed else p[a]
+    return (total + 3 * split) // 2 if signed else total
+
+
 class YoungClasses(_Classes):
     """Conjugacy classes of a Young or signed-Young group, read off
     partitions (see the module docstring); no element is listed.
@@ -244,6 +268,10 @@ class YoungClasses(_Classes):
 
     def __init__(self, group: PermGroup, orbits: tuple[tuple[int, ...], ...],
                  signed: tuple[int, ...]):
+        # the columns are listed, each with an image tuple
+        limit, r = config.ENUMERATION_BOUND, _column_count(orbits, signed)
+        if r > limit:
+            raise BoundExceeded("enumeration bound", limit, r)
         self.group = group
         self._orbits = orbits
         self._signed = signed

@@ -213,8 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON config file; flags below override it")
     parser.add_argument("--enum-bound", type=int, metavar="N",
-                        help="most group elements, or character-table "
-                             "entries, that one step may list")
+                        help="most group elements, classes or "
+                             "character-table entries one step may list")
     parser.add_argument("--index-bound", type=int, metavar="N",
                         help="largest coset index to traverse")
     parser.add_argument("--seed", type=int, metavar="N",

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fscat import config
+from fscat import chartab, config
 from fscat.chartab import (
     Character,
     ClassData,
     YoungClasses,
+    _column_count,
     _dixon,
     _sqrt_terms,
     _verify_table,
@@ -25,7 +26,7 @@ from fscat.chartab import (
 )
 from fscat.cosets import stabilizer
 from fscat.cyclo import ZERO, Cyclotomic
-from fscat.indicators import index_two_overgroup
+from fscat.indicators import category_scan, index_two_overgroup
 from fscat.perm import (BoundExceeded, Permutation, PermGroup, _inv, _mul, alt,
                         cyclic, sym, tilde_sym, trivial)
 
@@ -456,6 +457,7 @@ def test_young_and_signed_young_groups_match_the_bfs_and_dixon(case):
     assert group.order() == order
     cd = conjugacy_classes(group)
     assert isinstance(cd, YoungClasses)
+    assert len(cd) == _column_count(*group.young_shape())
     bfs = ClassData(fresh)
     _same_classes(cd, bfs)
     table, oracle = character_table(group), _dixon(bfs)
@@ -488,7 +490,7 @@ def test_routes_of_the_stabilizers():
 
 
 def test_both_routes_refuse_the_same_bound(monkeypatch):
-    # the class BFS lists the group; the partition route lists nothing, and
+    # the class BFS lists the group, the partition route its columns, and
     # a table of r classes lists r^2 entries on either route
     monkeypatch.setattr(config, "ENUMERATION_BOUND", 100)
     with pytest.raises(BoundExceeded) as exc:
@@ -505,6 +507,27 @@ def test_both_routes_refuse_the_same_bound(monkeypatch):
     monkeypatch.setattr(config, "ENUMERATION_BOUND", 121)
     for group in (sym(6), cyclic(11)):
         assert len(character_table(group).characters) == 11
+
+
+def test_partition_route_counts_its_columns_before_listing_any(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("partitions listed")
+
+    monkeypatch.setattr(chartab, "_partitions", no_listing)
+    monkeypatch.setattr(config, "ENUMERATION_BOUND", 1000)
+    # S_25 has p(25) = 1958 classes, A_27 (p(27) + 3 d(27))/2 = (3010 +
+    # 3 * 14)/2, with d(27) the partitions of 27 into distinct odd parts
+    for group, needed in ((sym(25), 1958), (alt(27), 1526)):
+        with pytest.raises(BoundExceeded) as exc:
+            conjugacy_classes(group)
+        assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
+            "enumeration bound", 1000, needed)
+    # the first stabilizer whose table the scan of C(S16, tilde S14) builds
+    # has orbits of 2, 2 and 12 points, all signed, and 154 columns
+    monkeypatch.setattr(config, "ENUMERATION_BOUND", 100)
+    with pytest.raises(BoundExceeded) as exc:
+        category_scan(sym(16), tilde_sym(16), 2)
+    assert (exc.value.limit, exc.value.needed) == (100, 154)
 
 
 @pytest.mark.parametrize("q", [1, 5, -3, -7, 9, 21, -15, 45, 105, -11 * 9])
