@@ -17,12 +17,10 @@ from .config import RunConfig, load_config
 from .cosets import (
     DoubleCoset,
     DoubleCosetDecomposition,
-    canonical_normal_form,
     double_cosets,
     is_null_coset,
     left_coset_reps,
     normal_form_census,
-    normal_form_with_multiplier,
     stabilizer,
     sym_census,
 )
@@ -40,7 +38,6 @@ from .indicators import (
     nu2_squares,
     nu2_stab,
     nu_m,
-    nu_twisted,
     reduction_check,
     two_power_rep,
     vanishing_witness,
@@ -67,13 +64,12 @@ __all__ = [
     "DoubleCoset", "DoubleCosetDecomposition", "GroupSpec", "IndicatorEntry",
     "IndicatorReport", "InvarianceCheck", "PermGroup", "Permutation",
     "ReductionCheck", "RunConfig", "VerificationReport", "alt", "alt_embed",
-    "canonical_normal_form", "category_scan", "character_table", "claim_ids",
-    "conjugacy_classes", "conjugate", "cyclic", "double_cosets",
-    "index_two_overgroup", "induce", "inner_product", "invariance_check",
-    "is_null_coset", "left_coset_reps", "load_config", "main",
-    "normal_form_census", "normal_form_with_multiplier", "nu2_extension",
+    "category_scan", "character_table", "claim_ids", "conjugacy_classes",
+    "conjugate", "cyclic", "double_cosets", "index_two_overgroup", "induce",
+    "inner_product", "invariance_check", "is_null_coset", "left_coset_reps",
+    "load_config", "main", "normal_form_census", "nu2_extension",
     "nu2_induced", "nu2_squares", "nu2_stab", "nu_classical", "nu_m",
-    "nu_twisted", "parse_group_spec", "reduction_check", "run_all",
-    "stabilizer", "sym", "sym_census", "sym_embed", "sym_prime", "tilde_sym",
-    "trivial", "two_power_rep", "vanishing_witness", "verify",
+    "parse_group_spec", "reduction_check", "run_all", "stabilizer", "sym",
+    "sym_census", "sym_embed", "sym_prime", "tilde_sym", "trivial",
+    "two_power_rep", "vanishing_witness", "verify",
 ]

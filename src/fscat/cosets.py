@@ -38,14 +38,16 @@ so K = H*U is a group, the direct product H x U.  A double coset K*g*K is
 the union of the H-double cosets a*(HgH)*b = a*(HgH*ba)*a^-1 over a, b in U:
 the U-conjugates of the right translates HgH*u = H*gu*H.  So the walk needs
 one seed per double coset of K, not a list of the [G:H] left cosets of H:
-the least left coset of K in each orbit of K on its [G:K] left cosets.
-That coset is canonical for H too, since its least element is least in its
-own left coset of H.  From a seed, the folds close the H-double cosets found
-under conjugation by U, and right moves rep*u by U's generators close them
-under right translation, so together they reach every H-double coset in
-K*g*K.  On C(S10, Sym{1..5}) the 252 left cosets of K seed the walk instead
-of the 30,240 of H.  When U is trivial, K is H and every left coset of H is
-a seed.
+the representative double_cosets gives for K, the least left coset of K in
+each orbit of K on its [G:K] left cosets.  That coset is canonical for H
+too, since its least element is least in its own left coset of H.  U moves
+every letter H fixes, so K fixes none, and the call on K takes every left
+coset of K as a seed, with nothing to fold.  From a seed, the folds close
+the H-double cosets found under conjugation by U, and right moves rep*u by
+U's generators close them under right translation, so together they reach
+every H-double coset in K*g*K.  On C(S10, Sym{1..5}) the call on K walks
+the 252 left cosets of K, not the 30,240 of H, and gives 6 seeds.  When U
+is trivial, K is H and every left coset of H is a seed.
 
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
@@ -212,35 +214,13 @@ def _free_letter_gens(group: PermGroup, sub: PermGroup
     return []
 
 
-def _double_coset_seeds(group: PermGroup, hu: PermGroup, scale: int
-                        ) -> list[tuple[tuple[int, ...], int]]:
-    """The least canonical left coset of hu in each double coset hu*g*hu,
-    found by a walk of hu's generators on its left cosets, with the number
-    of its left cosets times scale."""
-    gens = [g._img for g in hu.generators]
-    seen = set()
-    seeds = []
-    for p in left_coset_reps(group, hu):
-        if p._img in seen:
-            continue
-        seen.add(p._img)
-        queue = [p._img]
-        for c in queue:
-            for s in gens:
-                nxt = hu.coset_min(_mul(s, c))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        seeds.append((p._img, len(queue) * scale))
-    return seeds
-
-
 def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     """Double cosets of sub in group, sorted by canonical representative.
 
     The index [group : sub] is checked first, so a skip names that bound.
-    The seeds are one left coset of K = sub x U per double coset K*g*K, or
-    every left coset of sub when U is trivial.  Each seed starts a work list
+    The seeds are the representatives of double_cosets(group, K), with
+    K = sub x U, one least left coset of K per double coset K*g*K, or every
+    left coset of sub when U is trivial.  Each seed starts a work list
     of candidate roots.  A candidate whose left coset is already placed is
     skipped.  Otherwise its orbit walk sifts generators of S(start) and
     decides self_inverse, and the orbit's least coset becomes the root:
@@ -263,7 +243,9 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     if free:
         hu = PermGroup(group.degree,
                        [*sub.generators, *map(Permutation._from_raw, free)])
-        seeds = _double_coset_seeds(group, hu, hu.order() // h_order)
+        scale = hu.order() // h_order
+        seeds = [(dc.rep._img, dc.n_left * scale)
+                 for dc in double_cosets(group, hu).cosets]
     else:
         # K = sub: every left coset is a seed, and with nothing to fold or
         # move, no seed's work needs a count
@@ -376,34 +358,15 @@ def _raw_normal_form(img: tuple[int, ...], l: int) -> tuple[int, ...]:
     return tuple(form)
 
 
-def normal_form_with_multiplier(sigma: Permutation, l: int) -> tuple[Permutation, Permutation]:
-    """Rewrite sigma by right factors from Sym{1..l} until no cycle holds two
-    letters from 1..l; returns (form, h) with form == sigma * h.
-
-    Each step multiplies by the transposition of the two least cohabiting
-    letters of one cycle, which splits that cycle in two; the number of
-    cohabiting pairs drops, so the rewriting ends.  Transpositions on
-    different cycles commute, and the splits of one cycle depend only on
-    that cycle, so the cycles can be rewritten one by one.  More is true:
-    sigma*Sym{1..l} holds exactly one element with no two letters of 1..l in
-    a cycle, so every order of splits, and any choice of cohabiting pair,
-    ends at the same form, which _raw_normal_form reads off in one pass.
-    h = sigma^-1 * form.
-    """
-    if not 1 <= l <= sigma.degree:
-        raise ValueError("l out of range")
-    form = _raw_normal_form(sigma._img, l)
-    return (Permutation._from_raw(form),
-            Permutation._from_raw(_mul(_inv(sigma._img), form)))
-
-
 def is_null_coset(sigma: Permutation, l: int) -> bool:
     """Whether the double coset of sigma under Sym{1..l} is a null coset.
 
     A double coset is null when its normal form is not an involution; on such
     cosets every degree-2 indicator vanishes.
     """
-    f = normal_form_with_multiplier(sigma, l)[0]._img
+    if not 1 <= l <= sigma.degree:
+        raise ValueError("l out of range")
+    f = _raw_normal_form(sigma._img, l)
     return any(f[f[i]] != i for i in range(len(f)))
 
 
@@ -414,14 +377,15 @@ def sym_census(l: int, n: int) -> tuple[int, int]:
     return len(dcs), null
 
 
-def canonical_normal_form(sigma: Permutation, l: int) -> Permutation:
-    """Normal form with the letters 1..l renamed by first appearance.
+def _canonical_form(img: tuple[int, ...], l: int) -> tuple[int, ...]:
+    """The normal form of a raw permutation g under Sym{1..l}, with the
+    letters 1..l renamed by first appearance.
 
     Cycles of the normal form are rotated to start at their least letter
     above l and sorted by that letter; the small letters are then renamed
     1, 2, ... in reading order, unused ones filling the remaining slots in
     increasing order.  The renaming acts by conjugation, so the result stays
-    inside the double coset of sigma.
+    inside the double coset of g.
 
     Each nontrivial cycle of the normal form holds at most one small letter
     and some letter above l.  Walking the cycles from the letters above l in
@@ -429,9 +393,7 @@ def canonical_normal_form(sigma: Permutation, l: int) -> Permutation:
     start at, so the small letters come up in reading order; the ones never
     met are fixed.
     """
-    if not 1 <= l <= sigma.degree:
-        raise ValueError("l out of range")
-    f = _raw_normal_form(sigma._img, l)
+    f = _raw_normal_form(img, l)
     n = len(f)
     seen = [False] * n
     order = []
@@ -449,13 +411,14 @@ def canonical_normal_form(sigma: Permutation, l: int) -> Permutation:
     out = [0] * n
     for p in range(n):
         out[rename[p]] = rename[f[p]]
-    return Permutation._from_raw(tuple(out))
+    return tuple(out)
 
 
 def normal_form_census(l: int, n: int) -> tuple[int, int]:
     """Census of Sym{1..l} double cosets in Sym{1..n} by distinct canonical
     normal forms over the whole group; an independent route to sym_census."""
-    forms = {canonical_normal_form(Permutation._from_raw(raw), l)._img
-             for raw in sym(n).element_tuples()}
+    if not 1 <= l <= n:
+        raise ValueError("l out of range")
+    forms = {_canonical_form(raw, l) for raw in sym(n).element_tuples()}
     null = sum(1 for f in forms if any(f[f[i]] != i for i in range(n)))
     return len(forms), null

@@ -15,17 +15,19 @@ implemented here and cross-checked in the test suite:
   * nu2_stab       sums chi((g x)^2) over the stabilizer only,
   * nu2_squares    counts square roots in the index-2 overgroup S(g) + gS(g),
   * nu2_induced    uses the character induced to that overgroup,
-  * nu2_extension  uses an extension of chi to that overgroup,
-  * nu_twisted     the twisted indicator sum chi(x * u x u^-1) over S.
+  * nu2_extension  uses an extension of chi to that overgroup.
+
+_twisted_counts gives the class census of the twisted sum chi(x * u x u^-1)
+over S, from which _census_indicators reads every twisted indicator at once.
 
 category_scan walks every double coset and reports one row per simple
 object.  For m = 2 the double-coset walk has already decided vanishing: a
 coset that is not self-inverse (DoubleCoset.self_inverse) has no element
 squaring into H, so all its indicators are zero without a sum.  Otherwise
-the scan uses the stabilizer sum at an adjusted representative, or the
-classical indicator when that representative lies in H.  The stabilizer sum
-reads the class census of the squares of the coset wS(g) from the class
-object (chartab's square_census): from cycle types when S(g) is a Young or
+the scan uses the stabilizer sum at an adjusted representative w, on the
+trivial double coset too: there w lies in H, wS(g) = S(g), and the sum is
+the classical indicator.  It reads the class census of the squares of the
+coset wS(g) from the class object (chartab's square_census): from cycle types when S(g) is a Young or
 signed-Young group, by listing S(g) otherwise; H itself is only walked
 and sifted.  For m != 2 it uses the defining sum, which lists H.  Only one
 coset per orbit under the letters H fixes is computed (see cosets); the
@@ -231,7 +233,10 @@ def _twisted_counts(cd: ClassData | YoungClasses, u: Permutation) -> list[int]:
     """Class census of x * u x u^-1 for x over the group behind cd.
 
     u must normalize that group with u^2 centralizing it.  One census serves
-    every character of the group (nu_twisted, catalog's lemma-twisted-An).
+    every character of the group: _census_indicators reads the twisted
+    indicators, the averages of chi(x * u x u^-1), off it (catalog's
+    lemma-twisted-An).  With u centralizing the group they are the classical
+    degree-2 indicators.
     """
     members = cd.group.element_set()
     u_raw = u._img
@@ -244,18 +249,6 @@ def _twisted_counts(cd: ClassData | YoungClasses, u: Permutation) -> list[int]:
     u_inv = _inv(u_raw)
     return cd.census(_mul(x, _mul(_mul(u_raw, x), u_inv))
                      for x in cd.group.element_tuples())
-
-
-def nu_twisted(chi: Character, u: Permutation) -> int:
-    """Indicator of chi twisted by conjugation with u.
-
-    u must normalize the group of chi with u^2 acting trivially on it; the sum
-    averages chi(x * u x u^-1).  With u centralizing the group this is the
-    classical degree-2 indicator.
-    """
-    cd = chi.classes
-    return _census_indicators(_twisted_counts(cd, u), [chi], cd.group.order(),
-                              f"twisted indicator by {u.to_text()}")[0]
 
 
 @dataclass(frozen=True)
@@ -543,8 +536,9 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     under the free letters (DoubleCoset.root) computes its rows: m = 2 takes
     the stabilizer-only sum at an adjusted representative, every other m the
     defining H-sum.  At m = 2 no element of H is listed: two_power_rep walks
-    H lazily until a square sifts into it, and the adjusted representative
-    is tested for membership by a sift.  The stabilizer sum's square census
+    H lazily until a square sifts into it.  On the trivial double coset the
+    adjusted representative w lies in H, so wS(g) = S(g) and the same sum
+    gives the classical indicator.  The stabilizer sum's square census
     comes from cycle types when the stabilizer is a Young or signed-Young
     group, which is then never enumerated, and from a list of its elements
     otherwise (such as C(S8, C8)'s); the defining sum lists H.  The other
@@ -590,14 +584,10 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                     raise ArithmeticError(
                         f"self-inverse double coset of {g.to_text()} has no "
                         "element squaring into the subgroup")
-                if sub.member(w):
-                    nus = [_as_int(nu_classical(chi), "classical nu_2")
-                           for chi in table.characters]
-                else:
-                    counts = cd.square_census(w._img)
-                    nus = _census_indicators(counts, table.characters,
-                                             stab.order(),
-                                             f"nu_2 at {w.to_text()}")
+                counts = cd.square_census(w._img)
+                nus = _census_indicators(counts, table.characters,
+                                         stab.order(),
+                                         f"nu_2 at {w.to_text()}")
                 for value in nus:
                     if value not in (-1, 0, 1):
                         raise ArithmeticError(

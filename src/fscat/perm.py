@@ -77,7 +77,7 @@ def _min_moved(a: tuple[int, ...]) -> int | None:
     return None
 
 
-def _parity(word: list[int]) -> int:
+def _parity(word: list[int] | tuple[int, ...]) -> int:
     """0 for an even permutation i -> word[i] of range(len(word)), 1 for odd."""
     seen = [False] * len(word)
     moved = 0
@@ -214,9 +214,7 @@ class Permutation:
 
     @property
     def sign(self) -> int:
-        cycles = _raw_cycles(self._img)
-        moved = sum(map(len, cycles))
-        return -1 if (moved - len(cycles)) % 2 else 1
+        return -1 if _parity(self._img) else 1
 
     @property
     def order(self) -> int:

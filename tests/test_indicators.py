@@ -10,6 +10,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from fscat import chartab, config, indicators, perm
 from fscat.cli import parse_group_spec
 from fscat.chartab import character_table, nu_classical
 from fscat.cosets import is_null_coset, double_cosets, stabilizer
+from fscat.cyclo import ZERO
 from fscat.indicators import (
     category_scan,
     index_two_overgroup,
@@ -28,7 +30,6 @@ from fscat.indicators import (
     nu2_squares,
     nu2_stab,
     nu_m,
-    nu_twisted,
     reduction_check,
     two_power_rep,
     vanishing_witness,
@@ -220,52 +221,65 @@ def test_weighted_sum_counts_involutions_in_the_coset():
         assert lhs == rhs
 
 
+def twisted_indicators(group, u):
+    """The twisted indicator of every character of group, from one census."""
+    table = character_table(group)
+    counts = indicators._twisted_counts(chartab.conjugacy_classes(group), u)
+    return indicators._census_indicators(counts, table.characters,
+                                         group.order(), "twisted")
+
+
 def test_twisted_indicator_reduces_to_classical_for_central_u():
     table = character_table(alt(4))
-    for chi in table.characters:
-        classical = nu_classical(chi).as_rational_integer()
-        assert nu_twisted(chi, P("()", 4)) == classical
+    classical = [nu_classical(chi).as_rational_integer()
+                 for chi in table.characters]
+    assert twisted_indicators(alt(4), P("()", 4)) == classical
 
 
 def test_twisted_by_odd_element_stays_in_zero_one():
     for n in (4, 5, 6):
-        table = character_table(alt(n))
-        u = P("(1,2)", n)
-        vals = [nu_twisted(chi, u) for chi in table.characters]
-        assert set(vals) <= {0, 1}
+        assert set(twisted_indicators(alt(n), P("(1,2)", n))) <= {0, 1}
 
 
 def test_twisted_weighted_sum_counts_twisted_involutions():
     group = alt(4)
     u = P("(1,2)", 4)
     table = character_table(group)
-    lhs = sum(chi.degree * nu_twisted(chi, u) for chi in table.characters)
+    lhs = sum(chi.degree * value for chi, value
+              in zip(table.characters, twisted_indicators(group, u)))
     rhs = sum(1 for x in group.element_tuples()
               if (Permutation._from_raw(x) * conjugate(u, Permutation._from_raw(x))).is_identity())
     assert lhs == rhs
 
 
 def test_twisted_indicator_guards():
-    table = character_table(sym_embed(3, 5))
+    cd = chartab.conjugacy_classes(sym_embed(3, 5))
     with pytest.raises(ValueError, match="normalize"):
-        nu_twisted(table.characters[0], P("(3,4)", 5))
+        indicators._twisted_counts(cd, P("(3,4)", 5))
     with pytest.raises(ValueError, match="centralize"):
-        nu_twisted(table.characters[0], P("(1,2,3)", 5))
+        indicators._twisted_counts(cd, P("(1,2,3)", 5))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_one_twisted_census_serves_every_character(n):
+    # against the average of chi(x * u x u^-1) over the group, summed one
+    # character at a time
     group = alt(n)
     table = character_table(group)
-    cd = chartab.conjugacy_classes(group)
     odd_involutions = [u for u in chartab.conjugacy_classes(sym(n)).reps
                        if u.sign == -1 and (u * u).is_identity()]
     assert len(odd_involutions) == (n + 2) // 4
+    elements = [Permutation._from_raw(x) for x in group.element_tuples()]
     for u in odd_involutions:
-        shared = indicators._census_indicators(
-            indicators._twisted_counts(cd, u), table.characters,
-            group.order(), "twisted")
-        assert shared == [nu_twisted(chi, u) for chi in table.characters]
+        twists = [x * conjugate(u, x) for x in elements]
+        averages = []
+        for chi in table.characters:
+            total = ZERO
+            for y in twists:
+                total = total + chi.value(y)
+            averages.append(total.scaled(Fraction(1, group.order()))
+                            .as_rational_integer())
+        assert twisted_indicators(group, u) == averages
 
 
 def test_m_below_one_is_rejected():
@@ -544,7 +558,32 @@ def test_every_square_census_of_a_tilde_scan_matches_the_listed_coset(
 
     monkeypatch.setattr(chartab.YoungClasses, "square_census", checked)
     category_scan(sym(10), tilde_sym(10), 2)
-    assert len(seen) == 5 and all(seen)
+    # five stabilizer sums and the trivial coset's classical indicators
+    assert len(seen) == 6 and all(seen)
+
+
+@pytest.mark.parametrize("name, young", [
+    ("C8", False), ("D4", False), ("S6", True), ("tilde S5", True)])
+def test_square_census_inside_the_group_gives_the_classical_indicator(
+        name, young):
+    # the scan's route on its trivial double coset: for w in S, wS = S, so
+    # the census of (w s)^2 is the census of s^2, and its sum against chi is
+    # the classical indicator, on either class object
+    group = {
+        "C8": lambda: cyclic(8),
+        "D4": lambda: PermGroup(4, [P("(1,2,3,4)"), P("(1,3)", 4)]),
+        "S6": lambda: sym(6),
+        "tilde S5": lambda: tilde_sym(7),
+    }[name]()
+    cd = chartab.conjugacy_classes(group)
+    assert isinstance(cd, chartab.YoungClasses) == young
+    table = character_table(group)
+    classical = [nu_classical(chi).as_rational_integer()
+                 for chi in table.characters]
+    for w in cd.reps:
+        counts = cd.square_census(w._img)
+        assert indicators._census_indicators(
+            counts, table.characters, group.order(), "nu_2") == classical
 
 
 def test_scan_frees_each_stabilizer_without_the_collector(monkeypatch):
