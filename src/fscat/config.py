@@ -21,9 +21,13 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         for f in fields(self):
             v = getattr(self, f.name)
+            # the bounds must be positive; the seed changes nothing, so any
+            # integer from 0 up is accepted
+            least, kind = ((0, "non-negative") if f.name == "seed"
+                           else (1, "positive"))
             # bool is a subclass of int, but true is not a bound of 1
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"config field {f.name} must be a positive integer, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ValueError(f"config field {f.name} must be a {kind} integer, got {v!r}")
         return self
 
 

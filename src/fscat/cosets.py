@@ -33,6 +33,16 @@ k*h*c*H*k^-1 = (k*h*k^-1)*(k*c*k^-1)*H.  It records its k
 (DoubleCoset.root, DoubleCoset.conj), from which indicators.category_scan
 moves the root's rows.
 
+When H is a Young group, the full symmetric group on each of its orbits,
+a double coset is named without its left cosets.  Take as blocks H's orbits
+and each letter H fixes alone; HyH = HzH exactly when y and z send the same
+number of letters of each block i into each block j (the block-count
+matrix; James and Kerber, The Representation Theory of the Symmetric
+Group, 1.3).  So a fold maps no left coset: it keys k*root*k^-1 by its
+matrix, and when that double coset is new, reads its least element off the
+matrix and its k from one coset_min.  Every other subgroup, a signed-Young
+one included, keeps the map through the root's left cosets.
+
 U also tells where the roots are.  It centralizes H and meets it trivially,
 so K = H*U is a group, the direct product H x U.  A double coset K*g*K is
 the union of the H-double cosets a*(HgH)*b = a*(HgH*ba)*a^-1 over a, b in U:
@@ -214,6 +224,92 @@ def _free_letter_gens(group: PermGroup, sub: PermGroup
     return []
 
 
+class _BlockCounts:
+    """The double cosets of a Young group Y = prod Sym(O_j), named by their
+    block-count matrices.
+
+    The blocks are Y's orbits, then each letter Y fixes as a block of its
+    own, and M(y)[i][j] counts the letters p of block i with y(p) in block
+    j.  Y maps each block onto itself, so M(h1*y*h2) = M(y) for h1, h2 in Y.
+    Conversely, let M(z) = M(y).  In each block i the letters that y sends
+    into block j and those that z sends there are equally many, for every
+    j, so some h2 in Y maps the second set onto the first, for all i and j
+    at once.  Then y*h2 and z send each letter into the same block, and in
+    each block j the letters y*h2 reaches are those z reaches, all of j; the
+    map y*h2(p) -> z(p) is a permutation of every block, some h1 in Y, and
+    h1*y*h2 = z.  So HyH = HzH exactly when M(y) = M(z).
+    """
+
+    def __init__(self, orbits: tuple[tuple[int, ...], ...], degree: int):
+        block = [-1] * degree
+        for j, o in enumerate(orbits):
+            for p in o:
+                block[p] = j
+        count = len(orbits)
+        for p in range(degree):
+            if block[p] < 0:
+                block[p] = count
+                count += 1
+        self.orbits = orbits
+        self.block = block
+        # the least letter of each block, and after each letter the next
+        # letter of its block (degree after the last)
+        self.first = [-1] * count
+        self.succ = [degree] * degree
+        for v in range(degree - 1, -1, -1):
+            j = block[v]
+            if self.first[j] >= 0:
+                self.succ[v] = self.first[j]
+            self.first[j] = v
+        # a bytes key takes a third of a tuple's memory at degree 10, but
+        # holds block numbers only below 256: a trivial H of degree 300 has
+        # 300 blocks
+        self.pack = bytes if count <= 256 else tuple
+
+    def key(self, y: tuple[int, ...]) -> bytes | tuple[int, ...]:
+        """M(y), encoded as the block of each y(p), sorted within each
+        orbit's letters: those of orbit i list row i's counts, and a fixed
+        letter's entry is its row."""
+        block = self.block
+        out = [block[v] for v in y]
+        for o in self.orbits:
+            for p, j in zip(o, sorted([out[p] for p in o])):
+                out[p] = j
+        return self.pack(out)
+
+    def least(self, y: tuple[int, ...]) -> tuple[int, ...]:
+        """The least element of HyH, read off M(y).
+
+        Each letter p in turn, in block i, takes the least value not yet
+        taken from any block j it still owes a count to (M[i][j] less the
+        letters of block i already sent into block j).  The owed counts stay
+        realizable: row i's sum is the letters of block i still to fill,
+        column j's the values of block j not yet taken, so any owed j can
+        still be chosen, every such choice extends to an element of HyH,
+        and the greedy value at each letter is the least any of them has
+        there.
+        """
+        block, succ = self.block, self.succ
+        owed: list[dict[int, int]] = [{} for _ in self.first]
+        for p, v in enumerate(y):
+            row = owed[block[p]]
+            row[block[v]] = row.get(block[v], 0) + 1
+        # the least value of each block not yet taken
+        least = self.first.copy()
+        out = []
+        for i in block:
+            row = owed[i]
+            j = min(row, key=least.__getitem__)
+            v = least[j]
+            out.append(v)
+            least[j] = succ[v]
+            if row[j] == 1:
+                del row[j]
+            else:
+                row[j] -= 1
+        return tuple(out)
+
+
 def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     """Double cosets of sub in group, sorted by canonical representative.
 
@@ -221,19 +317,29 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     The seeds are the representatives of double_cosets(group, K), with
     K = sub x U, one least left coset of K per double coset K*g*K, or every
     left coset of sub when U is trivial.  Each seed starts a work list
-    of candidate roots.  A candidate whose left coset is already placed is
+    of candidate roots.  A candidate whose double coset is already placed is
     skipped.  Otherwise its orbit walk sifts generators of S(start) and
     decides self_inverse, and the orbit's least coset becomes the root:
     t = trans[root] carries start to it, so S(root) = t*S(start)*t^-1.  The
     root's images under the free-letter generators u (and their images in
-    turn) are folded: with k = u*k_src, the orbit of k*root*k^-1, if its
-    left coset is not placed, is the root's orbit mapped through
-    c -> k*c*k^-1, one coset_min per left coset and no walk.  Its least
-    coset rep is the image of some c in the root's orbit, so
-    conj = k*trans[c]*t^-1 carries the root to rep, and its data are the
-    root's, conjugated by conj.  Every double coset placed, root or folded,
+    turn) are folded: with k = u*k_src, the double coset of k*root*k^-1, if
+    not placed, has the root's data conjugated by conj = k*trans[c]*t^-1,
+    where c is the canonical left coset of k^-1*rep*k, rep the new double
+    coset's least element: trans[c]*t^-1 carries root*sub to c*sub, and k
+    carries c*sub to rep*sub.  Every double coset placed, root or folded,
     adds its right moves rep*u to the work list.  A seed's work ends once
     every left coset of K*seed*K is placed.
+
+    What "placed" holds depends on sub.  For a Young sub it is one
+    block-count key per double coset (_BlockCounts proves that the matrix
+    names the double coset and that its greedy element is the least): a
+    candidate is keyed raw, and canonicalized only when its double coset is
+    new; a fold keys k*root*k^-1 raw, and rep is read off its matrix, so
+    one coset_min finds c and no left coset is mapped.  For every other sub
+    (a signed-Young one included) it is the left cosets of each double
+    coset placed: a candidate is canonicalized first, and a fold maps the
+    root's orbit through c -> coset_min(k*c*k^-1), one coset_min per left
+    coset, rep being the least image.
     """
     _coset_index(group, sub)
     h_order = sub.order()
@@ -250,10 +356,13 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
         # K = sub: every left coset is a seed, and with nothing to fold or
         # move, no seed's work needs a count
         seeds = [(p._img, math.inf) for p in left_coset_reps(group, sub)]
-    # the left cosets already placed in a double coset.  A bytes key takes a
-    # third of a tuple's memory at degree 10; keeping the tuples themselves
-    # scatters them among the long-lived objects the walk creates, which
-    # raised the scan's peak RSS.  Past 256 letters the tuple is its own key.
+    shape = sub.young_shape()
+    blocks = (_BlockCounts(shape[0], group.degree)
+              if shape is not None and not shape[1] else None)
+    # placed keys: a Young sub's block counts, else the left cosets placed,
+    # as bytes up to 256 letters and past that as the tuples themselves.
+    # Keeping the tuples scatters them among the long-lived objects the walk
+    # creates, which raised the scan's peak RSS
     key = bytes if group.degree <= 256 else tuple
     placed: set = set()
     # rep -> (n_left, stab_gens, self_inverse, root's rep, conj)
@@ -265,12 +374,22 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
         for y, right in work:
             if left <= 0:
                 break
-            start = y if right is None else sub.coset_min(_mul(y, right))
-            if key(start) in placed:
-                continue
+            if blocks is not None:
+                start = y if right is None else _mul(y, right)
+                start_key = blocks.key(start)
+                if start_key in placed:
+                    continue
+                placed.add(start_key)
+                if right is not None:
+                    start = sub.coset_min(start)
+            else:
+                start = y if right is None else sub.coset_min(_mul(y, right))
+                if key(start) in placed:
+                    continue
             orbit, trans, stab_gens, self_inverse = _coset_orbit(start, sub,
                                                                  gens)
-            placed.update(map(key, orbit))
+            if blocks is None:
+                placed.update(map(key, orbit))
             left -= len(orbit)
             root = min(orbit)
             # t in sub carries start*sub to root*sub, so trans[c]*t^-1
@@ -288,21 +407,31 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
                         break
                     k = _mul(u, k_src)
                     k_inv = _inv(k)
-                    moved_root = sub.coset_min(_mul(_mul(k, root), k_inv))
-                    if key(moved_root) in placed:
-                        continue
-                    image = [moved_root if i == at_root
-                             else sub.coset_min(_mul(_mul(k, c), k_inv))
-                             for i, c in enumerate(orbit)]
-                    rep = min(image)
-                    conj = _mul(k, _mul(trans[orbit[image.index(rep)]], t_inv))
+                    moved_root = _mul(_mul(k, root), k_inv)
+                    if blocks is not None:
+                        moved_key = blocks.key(moved_root)
+                        if moved_key in placed:
+                            continue
+                        placed.add(moved_key)
+                        rep = blocks.least(moved_root)
+                        c = sub.coset_min(_mul(_mul(k_inv, rep), k))
+                    else:
+                        moved_root = sub.coset_min(moved_root)
+                        if key(moved_root) in placed:
+                            continue
+                        image = [moved_root if i == at_root
+                                 else sub.coset_min(_mul(_mul(k, c), k_inv))
+                                 for i, c in enumerate(orbit)]
+                        placed.update(map(key, image))
+                        rep = min(image)
+                        c = orbit[image.index(rep)]
+                    conj = _mul(k, _mul(trans[c], t_inv))
                     conj_inv = _inv(conj)
                     moved = tuple(_mul(_mul(conj, x), conj_inv)
                                   for x in stab_gens)
                     assert all(sub.coset_min(_mul(x, rep)) == rep
                                for x in moved)
-                    placed.update(map(key, image))
-                    left -= len(image)
+                    left -= len(orbit)
                     found[rep] = (len(orbit), moved, self_inverse, root, conj)
                     queue.append(conj)
                     work += [(rep, u) for u in free]

@@ -350,6 +350,16 @@ class IndicatorEntry:
     nu: int
 
 
+# one entry of IndicatorReport.to_json, as json.dumps(indent=2,
+# sort_keys=True) lays it out: chi_degree, nu, quoted rep, stab_order
+_JSON_ROW = """    {
+      "chi_degree": %d,
+      "nu": %d,
+      "rep": %s,
+      "stab_order": %d
+    }"""
+
+
 @dataclass(frozen=True)
 class IndicatorReport:
     group_label: str
@@ -374,15 +384,33 @@ class IndicatorReport:
         return [texts[e.rep] for e in self.entries]
 
     def to_json(self) -> str:
+        """The report as json.dumps(payload, indent=2, sort_keys=True) gives
+        it, byte for byte, with entries {"rep", "stab_order", "chi_degree",
+        "nu"}.
+
+        The entries are rendered from one row template, in that layout:
+        each distinct rep text is quoted once by json.dumps, and the three
+        integers are written as json writes them.  The rest of the payload
+        goes through json.dumps itself, with an empty entries list whose
+        text the rows then replace; inside a JSON string every quote is
+        escaped, so that text occurs only as the entries field.
+        """
         payload = {
             "category": {"G_spec": self.group_label, "H_spec": self.sub_label},
             "m": self.m,
-            "entries": [{"rep": text, "stab_order": e.stab_order,
-                         "chi_degree": e.chi_degree, "nu": e.nu}
-                        for e, text in zip(self.entries, self._rep_texts())],
+            "entries": [],
             "summary": {str(k): v for k, v in self.summary.items()},
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        if not self.entries:
+            return text
+        texts = self._rep_texts()
+        quoted = {rep: json.dumps(rep) for rep in set(texts)}
+        rows = ",\n".join(_JSON_ROW % (e.chi_degree, e.nu, quoted[rep],
+                                        e.stab_order)
+                           for e, rep in zip(self.entries, texts))
+        return text.replace('"entries": []',
+                            '"entries": [\n' + rows + '\n  ]', 1)
 
     def to_csv(self) -> str:
         out = io.StringIO()

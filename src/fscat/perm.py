@@ -263,12 +263,14 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
 # groups
 
 class _Level:
-    __slots__ = ("point", "orbit", "gens")
+    __slots__ = ("point", "orbit", "inv", "gens")
 
     def __init__(self, point: int, idt: tuple[int, ...]):
         self.point = point
         # orbit point p -> raw transversal element u with u(point) = p
         self.orbit: dict[int, tuple[int, ...]] = {point: idt}
+        # orbit point p -> u^-1, stored when u is, for _sift and _extend
+        self.inv: dict[int, tuple[int, ...]] = {point: idt}
         # the strong generators fixing every earlier base point
         self.gens: list[tuple[int, ...]] = []
 
@@ -286,10 +288,10 @@ def _sift(levels: list[_Level], g: tuple[int, ...], start: int = 0
         p = g[lv.point]
         if p == lv.point:
             continue
-        u = lv.orbit.get(p)
-        if u is None:
+        u_inv = lv.inv.get(p)
+        if u_inv is None:
             return g
-        g = _mul(_inv(u), g)
+        g = _mul(u_inv, g)
     return g
 
 
@@ -309,7 +311,7 @@ def _extend(levels: list[_Level], x: tuple[int, ...]) -> None:
     """
     idt = _identity(len(x))
     for b in range(_min_moved(x), -1, -1):
-        orbit, gens = levels[b].orbit, levels[b].gens
+        orbit, inv, gens = levels[b].orbit, levels[b].inv, levels[b].gens
         gens.append(x)
         points = list(orbit)
         n_old = len(points)
@@ -320,9 +322,10 @@ def _extend(levels: list[_Level], x: tuple[int, ...]) -> None:
                 q, sup = s[p], _mul(s, up)
                 if q not in orbit:
                     orbit[q] = sup
+                    inv[q] = _inv(sup)
                     points.append(q)
                 elif orbit[q] != sup:
-                    schreier.append(_mul(_inv(orbit[q]), sup))
+                    schreier.append(_mul(inv[q], sup))
         for y in schreier:
             r = _sift(levels, y, b + 1)
             if r != idt:

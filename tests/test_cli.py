@@ -287,6 +287,19 @@ def test_boolean_config_bounds_are_rejected(tmp_path, capsys, value):
     assert "limit is" not in err
 
 
+def test_seed_zero_is_accepted_and_bounds_stay_positive(tmp_path, capsys):
+    # the seed changes nothing, so 0 is as good a seed as any; a bound of 0
+    # or a negative seed is still refused
+    assert main(["--seed", "0", "census", "--l", "2", "--n", "3"]) == 0
+    assert capsys.readouterr().out == "2,0\n"
+    assert main(["--seed", "-1", "census", "--l", "2", "--n", "3"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 0, "index_bound": 0}')
+    with pytest.raises(ValueError, match="index_bound must be a positive"):
+        config.load_config(str(cfg))
+
+
 @pytest.mark.parametrize("G, H", [("sym:0", "sym:1"),
                                   ("cyclic:-3", "cyclic:0")])
 def test_nonpositive_family_parameters_are_usage_errors(capsys, G, H):

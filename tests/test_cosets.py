@@ -4,15 +4,17 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fscat import config, cosets
 from fscat.indicators import category_scan
+from test_chartab import young_groups
 from test_indicators import gens_pairs
 from fscat.cosets import (
     BoundExceeded,
     DoubleCoset,
+    _BlockCounts,
     _canonical_form,
     _raw_normal_form,
     double_cosets,
@@ -270,15 +272,17 @@ def count_coset_min(monkeypatch):
 def test_double_cosets_seed_from_the_cosets_of_h_times_u(monkeypatch):
     # the 6 double cosets of K = Sym{1..5} x Sym{6..10}, from a walk of K's
     # 252 left cosets, seed the walk, not the 30,240 of Sym{1..5}; listing
-    # those alone takes about 60,000 calls.  Each fold takes one coset_min
-    # per left coset of the folded orbit: the check on the moved root is
-    # reused as its entry of the image
+    # those alone takes about 60,000 calls.  Sym{1..5} is a Young group, so
+    # its double cosets are placed by block counts: the 1,510 folds map
+    # none of their left cosets (37,190 calls when each took one), but each
+    # takes one coset_min for its conjugator and one per moved stabilizer
+    # generator, and a right move canonicalizes only a new start
     group, sub = sym(10), sym_embed(5, 10)
     group.order(), sub.order()
     calls = count_coset_min(monkeypatch)
     dec = double_cosets(group, sub)
     assert (len(dec), len({dc.root for dc in dec})) == (1546, 36)
-    assert len(calls) == 37_190
+    assert len(calls) == 7688
 
 
 def test_double_cosets_walk_alone_when_no_letter_is_free(monkeypatch):
@@ -307,6 +311,98 @@ def test_double_cosets_beyond_byte_sized_letters():
     sub = PermGroup(300, [P("(1,2,3)", 300)])
     dec = double_cosets(group, sub)
     assert [dc.rep.to_text() for dc in dec] == ["()", "(4,5)"]
+
+
+def test_young_double_cosets_beyond_byte_sized_blocks():
+    # Sym{1,2} in degree 300 has 299 blocks, its orbit and 298 fixed
+    # letters: block numbers past 255 do not fit a byte, so the keys are
+    # tuples, and the decomposition is that of degree 4, padded
+    group, sub = sym_embed(4, 300), sym_embed(2, 300)
+    blocks = _BlockCounts(sub.young_shape()[0], 300)
+    assert blocks.pack is tuple and len(blocks.first) == 299
+    small = double_cosets(sym(4), sym_embed(2, 4))
+    dec = double_cosets(group, sub)
+    assert [dc.rep.to_text() for dc in dec] == \
+        [dc.rep.to_text() for dc in small] == \
+        ["()", "(3,4)", "(2,3)", "(2,3,4)", "(2,4,3)", "(2,4)", "(1,3)(2,4)"]
+    assert [dc.n_left for dc in dec] == [dc.n_left for dc in small]
+    swap = P("(1,2)", 300)._img
+    for dc in dec:
+        assert blocks.least(dc.rep._img) == dc.rep._img
+        y = _mul(_mul(swap, dc.rep._img), swap)
+        assert blocks.key(y) == blocks.key(dc.rep._img)
+
+
+def brute_double_coset_ids(n, sub_gens):
+    """The double coset of each element of S_n, as the least element of
+    its component under y -> s*y and y -> y*s for s in sub_gens."""
+    comp = {}
+    for y in permutations(range(n)):
+        if y in comp:
+            continue
+        members = [y]
+        comp[y] = y
+        for z in members:
+            for s in sub_gens:
+                for w in (_mul(s, z), _mul(z, s)):
+                    if w not in comp:
+                        comp[w] = y
+                        members.append(w)
+        least = min(members)
+        for z in members:
+            comp[z] = least
+    return comp
+
+
+@settings(max_examples=40, deadline=None)
+@given(young_groups())
+def test_block_counts_name_each_double_coset_and_its_least_element(case):
+    # by brute force over S_n: equal block-count keys exactly when HyH = HzH,
+    # and the greedy element is min(HyH)
+    gens, n, _ = case
+    assume(n <= 7)
+    sub = PermGroup(n, gens)
+    orbits, signed = sub.young_shape()
+    assume(not signed)
+    blocks = _BlockCounts(orbits, n)
+    least_of = brute_double_coset_ids(n, [g._img for g in sub.generators])
+    by_key = {}
+    for y, least in least_of.items():
+        assert by_key.setdefault(blocks.key(y), least) == least
+        assert blocks.least(y) == least
+    assert len(by_key) == len(set(least_of.values()))
+
+
+YOUNG_PAIRS = {
+    "C(S10, Sym{1..5})": lambda: (sym(10), sym_embed(5, 10)),
+    "C(S10, Sym{1..7})": lambda: (sym(10), sym_embed(7, 10)),
+    "C(S8, Sym{1..4})": lambda: (sym(8), sym_embed(4, 8)),
+    "Sym{1..3} in Sym{1..7} x Sym{8,9}": lambda: (
+        PermGroup(9, [*sym_embed(7, 9).generators, P("(8,9)", 9)]),
+        sym_embed(3, 9)),
+    "Sym{1,2} x Sym{3..5} in S9": lambda: (
+        sym(9), PermGroup(9, [P("(1,2)", 9), P("(3,4)", 9), P("(3,4,5)", 9)])),
+}
+
+
+@pytest.mark.parametrize("name", YOUNG_PAIRS)
+def test_block_count_placement_matches_the_left_coset_path(monkeypatch, name):
+    # with young_shape hidden (and _BlockCounts gone, so that the block
+    # route cannot run), double_cosets maps every folded left coset; every
+    # field of every double coset comes out the same
+    fields = ("rep", "n_left", "size", "stab_gens", "self_inverse", "root",
+              "conj")
+
+    def decomposition():
+        group, sub = YOUNG_PAIRS[name]()
+        return [[getattr(dc, f) for f in fields]
+                for dc in double_cosets(group, sub)]
+
+    assert YOUNG_PAIRS[name]()[1].young_shape()[1] == ()
+    placed = decomposition()
+    monkeypatch.setattr(PermGroup, "young_shape", lambda self: None)
+    monkeypatch.setattr(cosets, "_BlockCounts", None)
+    assert decomposition() == placed
 
 
 def test_double_coset_reps_are_minimal_and_sorted():

@@ -367,6 +367,36 @@ def test_report_writes_each_rep_text_once(monkeypatch):
     assert list(csv.reader(lines[1:])) == [list(map(str, row)) for row in rows]
 
 
+def reference_json(report):
+    """The report as the stdlib renders the whole payload."""
+    payload = {
+        "category": {"G_spec": report.group_label,
+                     "H_spec": report.sub_label},
+        "m": report.m,
+        "entries": [{"rep": e.rep.to_text(), "stab_order": e.stab_order,
+                     "chi_degree": e.chi_degree, "nu": e.nu}
+                    for e in report.entries],
+        "summary": {str(k): v for k, v in report.summary.items()},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_report_rows_from_the_template_match_the_stdlib(m):
+    # labels with a quote, a backslash, non-ASCII text and the entries
+    # field's own text are escaped by json.dumps, so the rows land once,
+    # in the entries field; -1 rows appear at m = 2 on C(S10, tilde S8)
+    labels = ('G "sym:10" \\ \u00e9t\u00e9', 'H \u2124/2 "entries": []')
+    group, sub = (sym(10), tilde_sym(10)) if m == 2 else \
+        (sym(6), sym_embed(3, 6))
+    report = category_scan(group, sub, m, *labels)
+    assert m != 2 or -1 in report.values()
+    assert report.to_json() == reference_json(report)
+    assert json.loads(report.to_json())["category"]["H_spec"] == labels[1]
+    empty = replace(report, entries=())
+    assert empty.to_json() == reference_json(empty)
+
+
 def defining_sum_rows(group, sub, m):
     """(rep, |S|, chi(1), nu_m) per simple object, from the filtered
     stabilizer, its table and the defining sum at every double coset."""

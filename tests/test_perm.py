@@ -153,8 +153,11 @@ def assert_chain_complete(group):
     idt = _identity(group.degree)
     for b, lv in enumerate(levels):
         assert lv.orbit[b] == idt
+        # each transversal entry's inverse is stored with it
+        assert lv.inv.keys() == lv.orbit.keys()
         for p, up in lv.orbit.items():
             assert up[b] == p
+            assert lv.inv[p] == _inv(up)
             for s in lv.gens:
                 assert _min_moved(s) >= b
                 us = lv.orbit[s[p]]
