@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .chartab import character_table, conjugacy_classes, induce, nu_classical
 from .cosets import (_coset_index, is_null_coset, normal_form_census,
                      stabilizer, sym_census)
-from .indicators import (_census_indicators, _twisted_counts, category_scan,
-                         nu_m, vanishing_witness)
+from .indicators import (_census_indicators, _nu_m_row, _twisted_counts,
+                         category_scan, vanishing_witness)
 from .perm import (
     BoundExceeded,
     Permutation,
@@ -157,7 +157,7 @@ def _example_nu_p():
     g = Permutation.from_text("(5,6)", 7)
     witness = vanishing_witness(g, sub, 7)
     stab = stabilizer(g, sub)
-    values = [nu_m(g, chi, sub, 7) for chi in character_table(stab).characters]
+    values = _nu_m_row(g, character_table(stab).characters, sub, 7)
     lines = ["coset of g = (5,6) in sym:7 over H = sym-embed:5,7, m = 7",
              f"some element of gH has its 7th power in H: {witness}",
              f"stabilizer order {stab.order()}",
@@ -187,7 +187,7 @@ def _example_minus_one():
     inside = [u for u in outside if u in sub]
     stab = stabilizer(g, sub)
     characters = character_table(stab).characters
-    values = [nu_m(g, chi, sub, 2) for chi in characters]
+    values = _nu_m_row(g, characters, sub, 2)
     lines = [f"g = {g.to_text()}", "H = cyclic:12 generated by the 12-cycle t",
              f"g^2 equals t^6: {squares}"]
     lines += [f"conjugate {u.to_text()} lies in H: {u in inside}"

@@ -29,7 +29,9 @@ trivial double coset too: there w lies in H, wS(g) = S(g), and the sum is
 the classical indicator.  It reads the class census of the squares of the
 coset wS(g) from the class object (chartab's square_census): from cycle types when S(g) is a Young or
 signed-Young group, by listing S(g) otherwise; H itself is only walked
-and sifted.  For m != 2 it uses the defining sum, which lists H.  Only one
+and sifted.  For m != 2 it uses the defining sum, which lists H as bytes
+image strings and composes the (g x)^m in C, by translate
+(PermGroup._coset_powers); H's tuples are not listed.  Only one
 coset per orbit under the letters H fixes is computed (see cosets); the
 others move its rows along conjugation, and a check of two global
 identities at the end sees every row.
@@ -69,15 +71,28 @@ def _check_m(m: int) -> None:
         raise ValueError("m must be a positive integer")
 
 
-def _as_int(value: Cyclotomic, what: str) -> int:
+class _Label:
+    """The error label "what g", as its str; g's text is formatted only when
+    an error is raised."""
+
+    __slots__ = ("what", "g")
+
+    def __init__(self, what: str, g: Permutation):
+        self.what, self.g = what, g
+
+    def __str__(self) -> str:
+        return f"{self.what} {self.g.to_text()}"
+
+
+def _as_int(value: Cyclotomic, what: str | _Label) -> int:
     out = value.as_rational_integer()
     if out is None:
         raise ArithmeticError(f"{what} is not a rational integer: {value}")
     return out
 
 
-def _census_indicators(counts: list[int], characters, order: int, what: str,
-                       conj: bool = False) -> list[int]:
+def _census_indicators(counts: list[int], characters, order: int,
+                       what: str | _Label, conj: bool = False) -> list[int]:
     """(1/order) * sum_j counts_j * chi(C_j) for each character chi, with chi
     conjugated when conj is set (the defining sum).
 
@@ -97,11 +112,10 @@ def _census_indicators(counts: list[int], characters, order: int, what: str,
 
 def _coset_power_counts(g: Permutation, sub: PermGroup,
                         cd: ClassData | YoungClasses, m: int) -> list[int]:
-    """Class census in S(g) of the values (g x)^m that land in H, x over H."""
-    members = sub.element_set()
-    g_raw = g._img
-    powers = (_raw_pow(_mul(g_raw, x), m) for x in sub.element_tuples())
-    return cd.census(y for y in powers if y in members)
+    """Class census in S(g) of the values (g x)^m that land in H, x over H
+    (PermGroup._coset_powers).  Each lies in S(g): it commutes with g x, so
+    it lies in g x H (g x)^-1 = g H g^-1 too."""
+    return cd.census(sub._coset_powers(g._img, m))
 
 
 def nu_m(g: Permutation, chi: Character, sub: PermGroup, m: int = 2) -> int:
@@ -110,11 +124,18 @@ def nu_m(g: Permutation, chi: Character, sub: PermGroup, m: int = 2) -> int:
     chi must be a character of the stabilizer S(g) (any group object carrying
     the same elements works).  The sum runs over all of H.
     """
+    return _nu_m_row(g, [chi], sub, m)[0]
+
+
+def _nu_m_row(g: Permutation, characters, sub: PermGroup, m: int
+              ) -> list[int]:
+    """nu_m(g, chi) for every chi of characters, which share one class
+    object, from one census of the defining sum."""
     _check_m(m)
-    cd = chi.classes
+    cd = characters[0].classes
     counts = _coset_power_counts(g, sub, cd, m)
-    return _census_indicators(counts, [chi], cd.group.order(),
-                              f"nu_{m} of {g.to_text()}", conj=True)[0]
+    return _census_indicators(counts, characters, cd.group.order(),
+                              _Label(f"nu_{m} of", g), conj=True)
 
 
 def vanishing_witness(g: Permutation, sub: PermGroup, m: int) -> bool:
@@ -124,10 +145,7 @@ def vanishing_witness(g: Permutation, sub: PermGroup, m: int) -> bool:
     of g vanishes, and the expensive sums can be skipped.
     """
     _check_m(m)
-    members = sub.element_set()
-    g_raw = g._img
-    return any(_raw_pow(_mul(g_raw, x), m) in members
-               for x in sub.element_tuples())
+    return next(sub._coset_powers(g._img, m), None) is not None
 
 
 def two_power_rep(g: Permutation, sub: PermGroup) -> Permutation | None:
@@ -273,16 +291,15 @@ def invariance_check(u: Permutation, g: Permutation, sub: PermGroup,
     s_g = stabilizer(g, sub)
     s_moved = stabilizer(moved, sub)
     same = s_g.element_set() == s_moved.element_set()
-    table = character_table(s_g)
-    base = tuple(nu_m(g, chi, sub, m) for chi in table.characters)
-    at_moved = tuple(nu_m(moved, chi, sub, m) for chi in table.characters)
+    characters = character_table(s_g).characters
+    base = tuple(_nu_m_row(g, characters, sub, m))
+    at_moved = tuple(_nu_m_row(moved, characters, sub, m))
     product: bool | None = None
     if (u * g == g * u) and (u ** m).is_identity():
         shifted = u * g
         s_shifted = stabilizer(shifted, sub)
         same = same and s_g.element_set() == s_shifted.element_set()
-        at_shifted = tuple(nu_m(shifted, chi, sub, m)
-                           for chi in table.characters)
+        at_shifted = tuple(_nu_m_row(shifted, characters, sub, m))
         product = at_shifted == base
     return InvarianceCheck(same_stabilizer=same,
                            conjugate_equal=at_moved == base,
@@ -331,9 +348,9 @@ def reduction_check(t: Permutation, f: Permutation, sub: PermGroup,
     s_big = stabilizer(t * f, sub)
     s_small = stabilizer(f, reduced)
     same = s_big.element_set() == s_small.element_set()
-    table = character_table(s_big)
-    big_vals = tuple(nu_m(t * f, chi, sub, 2) for chi in table.characters)
-    small_vals = tuple(nu_m(f, chi, reduced, 2) for chi in table.characters)
+    characters = character_table(s_big).characters
+    big_vals = tuple(_nu_m_row(t * f, characters, sub, 2))
+    small_vals = tuple(_nu_m_row(f, characters, reduced, 2))
     return ReductionCheck(same_stabilizer=same,
                           indicators_equal=big_vals == small_vals,
                           values=big_vals,
@@ -525,7 +542,7 @@ def _check_global_identities(group: PermGroup, sub: PermGroup, m: int,
 
 def _transported(source, conj: tuple[int, ...],
                  cd: ClassData | YoungClasses,
-                 characters, what: str) -> list[int]:
+                 characters, what: str | _Label) -> list[int]:
     """Indicators at a coset whose rows follow from those of a coset j of
     the same orbit under the free letters.
 
@@ -569,7 +586,9 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     gives the classical indicator.  The stabilizer sum's square census
     comes from cycle types when the stabilizer is a Young or signed-Young
     group, which is then never enumerated, and from a list of its elements
-    otherwise (such as C(S8, C8)'s); the defining sum lists H.  The other
+    otherwise (such as C(S8, C8)'s).  The defining sum lists H as bytes
+    image strings, composed in C by translate, and keeps the (g x)^m that
+    land in H; up to degree 256 no tuple of H is built.  The other
     cosets of that orbit move those rows along conjugation
     (DoubleCoset.conj), and the moved data are dropped once the orbit's last
     coset is done.  Rows are emitted in double-coset order, each in its own
@@ -605,7 +624,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                 nus = [0] * len(table.characters)
             elif source is not None:
                 nus = _transported(source, dc.conj, cd, table.characters,
-                                   f"nu_{m} at {g.to_text()}")
+                                   _Label(f"nu_{m} at", g))
             elif m == 2:
                 w = two_power_rep(g, sub)
                 if w is None:
@@ -614,8 +633,7 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                         "element squaring into the subgroup")
                 counts = cd.square_census(w._img)
                 nus = _census_indicators(counts, table.characters,
-                                         stab.order(),
-                                         f"nu_2 at {w.to_text()}")
+                                         stab.order(), _Label("nu_2 at", w))
                 for value in nus:
                     if value not in (-1, 0, 1):
                         raise ArithmeticError(
@@ -623,8 +641,8 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
             else:
                 counts = _coset_power_counts(g, sub, cd, m)
                 nus = _census_indicators(counts, table.characters,
-                                         stab.order(),
-                                         f"nu_{m} at {g.to_text()}", conj=True)
+                                         stab.order(), _Label(f"nu_{m} at", g),
+                                         conj=True)
             remaining[dc.root] -= 1
             if not remaining[dc.root]:
                 sources.pop(dc.root, None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from functools import reduce
 
 from . import config
@@ -52,20 +53,22 @@ def _conj(g: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
     return _mul(_mul(g, x), _inv(g))
 
 
-def _raw_pow(x: tuple[int, ...], m: int) -> tuple[int, ...]:
+def _raw_pow(x: tuple[int, ...], m: int, mul=_mul) -> tuple[int, ...]:
     # binary powering from the lowest set bit of m, with no square after the
-    # highest: x^4 takes two products.  m must not be negative.
+    # highest: x^4 takes two products.  m must not be negative.  mul
+    # composes two values of x's kind; _coset_powers passes blocks of
+    # elements, composed pair by pair, with m >= 1.
     if m == 0:
         return _identity(len(x))
     while not m & 1:
-        x = _mul(x, x)
+        x = mul(x, x)
         m >>= 1
     acc = x
     m >>= 1
     while m:
-        x = _mul(x, x)
+        x = mul(x, x)
         if m & 1:
-            acc = _mul(acc, x)
+            acc = mul(acc, x)
         m >>= 1
     return acc
 
@@ -483,6 +486,47 @@ class PermGroup:
         assert len(out) == self.order()
         self._elem_tuples = out
         return out
+
+    def _coset_powers(self, g: tuple[int, ...], m: int
+                      ) -> Iterator[tuple[int, ...]]:
+        """The values (g x)^m that lie in the group, x over its elements in
+        element_tuples order, as raw tuples, lazily; m must be positive.
+
+        _raw_pow powers a block of 1024 g x at once, with a product that
+        composes two lists pair by pair, so at most one block of powers is
+        held.  Up to degree 256 the elements are bytes image strings, listed
+        from _transversals() as element_tuples lists its tuples, and a o b
+        is b.translate(a + tail), with tail the identity on the byte values
+        past the degree: every product and membership test runs in C, only
+        the values that land become tuples, and the group's tuple list and
+        set are not built.  Bytes hold no point past 255, so a larger degree
+        composes element_tuples with _mul.  Either way BoundExceeded comes
+        before anything is listed.
+        """
+        n = self.degree
+        if n > 256:
+            elems, members = self.element_tuples(), self.element_set()
+
+            def mul(xs, ys):
+                return list(map(_mul, xs, ys))
+        else:
+            limit = config.ENUMERATION_BOUND
+            if self.order() > limit:
+                raise BoundExceeded("enumeration bound", limit, self.order())
+            tail = bytes(range(n, 256))
+
+            def mul(xs, ys):
+                return [y.translate(x + tail) for x, y in zip(xs, ys)]
+
+            elems = [bytes(range(n))]
+            for trans in reversed(self._transversals()):
+                tables = [bytes(u) + tail for u in trans]
+                elems = [x.translate(t) for t in tables for x in elems]
+            members = frozenset(elems)
+            g = bytes(g)
+        blocks = (elems[i:i + 1024] for i in range(0, len(elems), 1024))
+        powers = (_raw_pow(mul([g] * len(xs), xs), m, mul) for xs in blocks)
+        return (tuple(y) for ys in powers for y in ys if y in members)
 
     def elements(self) -> list[Permutation]:
         return [Permutation._from_raw(t) for t in self.element_tuples()]

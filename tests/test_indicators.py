@@ -669,6 +669,30 @@ def test_reduction_through_tower():
     assert -1 in res.values
 
 
+def test_one_defining_census_serves_every_character(monkeypatch):
+    # invariance_check, reduction_check and the two worked examples read
+    # one census per coset, whatever the number of characters
+    from fscat import catalog
+    calls = []
+    census = indicators._coset_power_counts
+
+    def counting(g, sub, cd, m):
+        calls.append(g)
+        return census(g, sub, cd, m)
+
+    monkeypatch.setattr(indicators, "_coset_power_counts", counting)
+    res = invariance_check(P("(7,8)", 8), P("(1,6)", 8), sym_embed(3, 8), 2)
+    assert res.values == (1, 1) and len(calls) == 3
+    calls.clear()
+    res = reduction_check(P("(9,11)(10,12)", 12), P("(1,3)(2,4)", 12),
+                          tilde_sym(10, degree=12), sym_embed(10, 12))
+    assert len(res.values) > 2 and len(calls) == 2
+    for name in ("ex-nu-p", "ex-minus-one"):
+        calls.clear()
+        assert catalog._EXAMPLES[name]()[0] == "pass"
+        assert len(calls) == 1
+
+
 def test_reduction_guards():
     H = sym_embed(3, 6)
     F = sym_embed(5, 6)
@@ -768,6 +792,121 @@ def test_scan_meets_the_enumeration_bound_only_where_it_lists_the_subgroup(
         category_scan(group, sub, 3)
     assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
         "enumeration bound", 5039, 5040)
+
+
+def test_defining_sum_meets_the_bound_before_it_lists(monkeypatch):
+    # nu_m and vanishing_witness raise the scan's BoundExceeded triple on an
+    # H over the bound, bytes route or tuple route, before any listing
+    cases = []
+    for sub in (sym_embed(7, 8), perm.embedded(sym(7), 300)):
+        g = Permutation.from_cycles([(7, 8)], sub.degree)
+        cases.append((g, character_table(stabilizer(g, sub)).characters[0],
+                      sub))
+    listed = watch_listing(monkeypatch)
+    monkeypatch.setattr(config, "ENUMERATION_BOUND", 5039)
+    for g, chi, sub in cases:
+        for call in (lambda: nu_m(g, chi, sub, 3),
+                     lambda: vanishing_witness(g, sub, 3)):
+            with pytest.raises(perm.BoundExceeded) as exc:
+                call()
+            assert (exc.value.bound_name, exc.value.limit,
+                    exc.value.needed) == ("enumeration bound", 5039, 5040)
+    # the tuple route asks for H's tuples, which refuse before listing
+    assert not any(g.degree == 8 for g in listed)
+    assert all(sub._elem_tuples is None for _, _, sub in cases)
+
+
+def test_higher_scan_lists_no_tuple_of_the_subgroup(monkeypatch):
+    # at m = 4 the defining sum lists H as bytes: neither H's tuple list nor
+    # its tuple set is built
+    group, sub = sym(8), sym_embed(6, 8)
+    listed = watch_listing(monkeypatch)
+    element_set = PermGroup.element_set
+
+    def watching_set(self):
+        listed.append(self)
+        return element_set(self)
+
+    monkeypatch.setattr(PermGroup, "element_set", watching_set)
+    report = category_scan(group, sub, 4)
+    assert not any(g is sub for g in listed)
+    assert sub._elem_tuples is None and sub._elem_set is None
+    assert len(report.entries) > 0
+
+
+def _listed_coset_powers(g, sub, m):
+    """The (g x)^m in H, x over H's listed tuples, composed by _mul."""
+    members = sub.element_set()
+    powers = (perm._raw_pow(perm._mul(g._img, x), m)
+              for x in sub.element_tuples())
+    return [y for y in powers if y in members]
+
+
+@pytest.mark.parametrize("group, sub", [
+    (sym(7), sym_embed(4, 7)),
+    (sym(8), tilde_sym(6, degree=8)),
+    (sym(8), cyclic(8)),
+    (sym(8), sym_embed(7, 8)),
+], ids=["S7-Sym4", "S8-tildeS6", "S8-C8", "S8-Sym7"])
+def test_coset_powers_match_the_listed_sum(group, sub):
+    # the bytes kernel keeps the same values, in the same order, as the
+    # tuple sum over element_tuples, at every rep and m = 1..8; Sym7 spans
+    # several blocks of the kernel
+    for dc in double_cosets(group, sub).cosets:
+        g = dc.rep
+        cd = chartab.conjugacy_classes(stabilizer(g, sub))
+        for m in range(1, 9):
+            listed = _listed_coset_powers(g, sub, m)
+            assert list(sub._coset_powers(g._img, m)) == listed
+            assert indicators._coset_power_counts(g, sub, cd, m) == (
+                cd.census(listed))
+            assert vanishing_witness(g, sub, m) == bool(listed)
+
+
+def test_coset_powers_past_degree_256_compose_tuples(monkeypatch):
+    # bytes hold no point past 255: at degree 300 the kernel lists H's
+    # tuples and gives the census it gives at degree 5
+    small = PermGroup(5, [P("(1,2,3)", 5), P("(1,2)", 5)])
+    big = perm.embedded(small, 300)
+    g_small, g_big = P("(1,4,5)", 5), P("(1,4,5)", 300)
+    cd_small = chartab.conjugacy_classes(stabilizer(g_small, small))
+    cd_big = chartab.conjugacy_classes(stabilizer(g_big, big))
+    listed = watch_listing(monkeypatch)
+    for m in (3, 6):
+        powers = list(big._coset_powers(g_big._img, m))
+        assert powers == _listed_coset_powers(g_big, big, m)
+        assert [y[:5] for y in powers] == list(
+            small._coset_powers(g_small._img, m))
+        assert indicators._coset_power_counts(g_big, big, cd_big, m) == (
+            indicators._coset_power_counts(g_small, small, cd_small, m))
+        assert vanishing_witness(g_big, big, m) == bool(powers)
+    assert any(g is big for g in listed)
+    assert not any(g is small for g in listed)
+
+
+def test_scan_formats_no_error_label(monkeypatch):
+    # the labels name their coset only when an error is raised
+    texts = []
+    to_text = Permutation.to_text
+
+    def counting(self, *args, **kwargs):
+        texts.append(self)
+        return to_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "to_text", counting)
+    for m in (2, 3):
+        category_scan(sym(6), sym_embed(3, 6), m, "S6", "Sym3")
+    assert not texts
+    # a label formats its permutation when an error message is built
+    stab = sym_embed(3, 6)
+    characters = character_table(stab).characters
+    g = P("(1,2)(4,5)", 6)
+    with pytest.raises(ArithmeticError) as exc:
+        indicators._census_indicators(
+            [1] + [0] * (len(characters) - 1), characters, stab.order(),
+            indicators._Label("nu_3 at", g))
+    assert str(exc.value) == "nu_3 at (1,2)(4,5) is not a rational integer: 1/6"
+    assert len(texts) == 1
 
 
 def test_degree_two_routes_test_membership_by_sifting(monkeypatch):
