@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .chartab import character_table, conjugacy_classes, induce, nu_classical
 from .cosets import (_coset_index, is_null_coset, normal_form_census,
                      stabilizer, sym_census)
-from .indicators import (_census_indicators, _nu_m_row, _twisted_counts,
-                         category_scan, vanishing_witness)
+from .indicators import (_census_indicators, _nu_m_census, _nu_m_row,
+                         _twisted_counts, category_scan)
 from .perm import (
     BoundExceeded,
     Permutation,
@@ -112,8 +112,9 @@ _STATED_CENSUS = {(3, 6): (34, 20), (4, 8): (197, 154)}
 def _check_census(l: int, n: int):
     if not 1 <= l <= n:
         raise ValueError("need 1 <= l <= n")
-    # the index bound first, as the orbit route alone would report it; then
-    # the relabeling route, so the enumeration bound trips before the walk
+    # the index bound first, as the orbit route (sym_census) alone would
+    # report it; then the relabeling route, so the enumeration bound trips
+    # before the double cosets are listed
     _coset_index(sym(n), sym_embed(l, n))
     relabeled = normal_form_census(l, n)
     computed = sym_census(l, n)
@@ -155,9 +156,10 @@ def _example_nu_p():
     Sym{1..5} in S_7: (status, detail, printable lines)."""
     sub = sym_embed(5, 7)
     g = Permutation.from_text("(5,6)", 7)
-    witness = vanishing_witness(g, sub, 7)
     stab = stabilizer(g, sub)
-    values = _nu_m_row(g, character_table(stab).characters, sub, 7)
+    counts, values = _nu_m_census(g, character_table(stab).characters, sub, 7)
+    # the census counts every seventh power that lands back in H
+    witness = sum(counts) > 0
     lines = ["coset of g = (5,6) in sym:7 over H = sym-embed:5,7, m = 7",
              f"some element of gH has its 7th power in H: {witness}",
              f"stabilizer order {stab.order()}",

@@ -3,22 +3,37 @@
 Left cosets y*H are identified by the lexicographically least image tuple they
 contain.  Double cosets H\\G/H are the orbits of H acting on those canonical
 representatives by left multiplication; the stored representative is the least
-one in the orbit.
+element of the double coset.  double_cosets finds them by one of two routes.
 
-The orbit walk also yields the stabilizer S(rep) = H & rep*H*rep^-1.  It has
-order |H| / |orbit| (orbit-stabilizer theorem), and the Schreier generators
-of the walk's closing edges generate it (Schreier's lemma; Seress,
-Permutation Group Algorithms, ch. 4).  So each double coset carries
-generators of S(rep) without a pass over H, and stabilizer() takes S(g) for
-a single coset of any element from the same walk.
+Listing, when H has a Young shape (the Young group of its orbits, or the
+kernel of a product of orbit signs in it, PermGroup.young_shape) and G is
+the Young group of its own orbits, as S_n is.  Take as blocks H's orbits and
+each letter H fixes alone: HyH and HzH of the Young group Y of H's orbits
+are equal exactly when y and z send the same number of letters of each
+block i into each block j (the block-count matrix; James and Kerber, The
+Representation Theory of the Symmetric Group, 1.3), and when H has index 2
+in Y, each such double coset splits into at most four of H, told apart by
+orbit signs.  _BlockCounts lists the matrices and reads off each double
+coset's least element, its stabilizer S(rep) = H & rep*H*rep^-1 and
+whether it is self-inverse, one step per double coset: no left coset is
+walked or listed.
 
-The same walk decides whether a double coset is self-inverse, that is whether
-rep^-1 lies in H*rep*H: exactly when the canonical left coset of rep^-1 is in
-the orbit, one coset_min per double coset.  This is the case exactly when
-some element of rep*H squares into H.  If rep^-1 = h1*rep*h2, then
-(rep*h1)^2 = h2^-1*h1 lies in H; conversely, if (rep*x)^2 = h lies in H, then
-rep^-1 = x*rep*(x*h^-1).  So on a double coset that is not self-inverse every
-degree-2 indicator vanishes.
+The orbit walk, for every other pair.  The orbit of H on the canonical left
+cosets of one double coset yields S(rep).  It has order |H| / |orbit|
+(orbit-stabilizer theorem), and the Schreier generators of the walk's
+closing edges generate it (Schreier's lemma; Seress, Permutation Group
+Algorithms, ch. 4).  So each double coset carries generators of S(rep)
+without a pass over H, and stabilizer() takes S(g) for a single coset of any
+element from the same walk.  The walk decides whether a double coset is
+self-inverse, that is whether rep^-1 lies in H*rep*H: exactly when the
+canonical left coset of rep^-1 is in the orbit, one coset_min per double
+coset.
+
+Either way, a double coset is self-inverse exactly when some element of
+rep*H squares into H.  If rep^-1 = h1*rep*h2, then (rep*h1)^2 = h2^-1*h1
+lies in H; conversely, if (rep*x)^2 = h lies in H, then
+rep^-1 = x*rep*(x*h^-1).  So on a double coset that is not self-inverse
+every degree-2 indicator vanishes.
 
 Double cosets repeat along the letters sub fixes.  Any k normalizing sub
 maps H*g*H to H*kgk^-1*H, and S(kgk^-1) = k*S(g)*k^-1, since
@@ -26,38 +41,29 @@ H & kgk^-1*H*kg^-1k^-1 = k*(H & gHg^-1)*k^-1.  The indicators move along:
 substituting x -> k*x*k^-1 in the defining sum gives
 nu_m(kgk^-1, chi) = nu_m(g, chi o (z -> k*z*k^-1)).  Every permutation of
 the letters sub fixes centralizes sub, so U = Sym(Fix sub) & group supplies
-such k for free.  double_cosets walks and sifts only one root per orbit of U
-on the double cosets.  Each other double coset of the orbit is not walked:
-its left cosets are the root's mapped through c -> k*c*k^-1, since
-k*h*c*H*k^-1 = (k*h*k^-1)*(k*c*k^-1)*H.  It records its k
-(DoubleCoset.root, DoubleCoset.conj), from which indicators.category_scan
-moves the root's rows.
+such k for free.  Each double coset records the root of its orbit under U
+and a k (DoubleCoset.root, DoubleCoset.conj), from which
+indicators.category_scan moves the root's rows.  The listing takes the
+least double coset of each orbit as its root, and moves the root's
+stabilizer to the others.  The walk walks and sifts only one root per orbit:
+each other double coset of the orbit has the root's left cosets mapped
+through c -> k*c*k^-1, since k*h*c*H*k^-1 = (k*h*k^-1)*(k*c*k^-1)*H.
 
-When H is a Young group, the full symmetric group on each of its orbits,
-a double coset is named without its left cosets.  Take as blocks H's orbits
-and each letter H fixes alone; HyH = HzH exactly when y and z send the same
-number of letters of each block i into each block j (the block-count
-matrix; James and Kerber, The Representation Theory of the Symmetric
-Group, 1.3).  So a fold maps no left coset: it keys k*root*k^-1 by its
-matrix, and when that double coset is new, reads its least element off the
-matrix and its k from one coset_min.  Every other subgroup, a signed-Young
-one included, keeps the map through the root's left cosets.
-
-U also tells where the roots are.  It centralizes H and meets it trivially,
-so K = H*U is a group, the direct product H x U.  A double coset K*g*K is
-the union of the H-double cosets a*(HgH)*b = a*(HgH*ba)*a^-1 over a, b in U:
-the U-conjugates of the right translates HgH*u = H*gu*H.  So the walk needs
-one seed per double coset of K, not a list of the [G:H] left cosets of H:
-the representative double_cosets gives for K, the least left coset of K in
-each orbit of K on its [G:K] left cosets.  That coset is canonical for H
-too, since its least element is least in its own left coset of H.  U moves
-every letter H fixes, so K fixes none, and the call on K takes every left
-coset of K as a seed, with nothing to fold.  From a seed, the folds close
-the H-double cosets found under conjugation by U, and right moves rep*u by
-U's generators close them under right translation, so together they reach
-every H-double coset in K*g*K.  On C(S10, Sym{1..5}) the call on K walks
-the 252 left cosets of K, not the 30,240 of H, and gives 6 seeds.  When U
-is trivial, K is H and every left coset of H is a seed.
+U also tells the walk where the roots are.  It centralizes H and meets it
+trivially, so K = H*U is a group, the direct product H x U.  A double coset
+K*g*K is the union of the H-double cosets a*(HgH)*b = a*(HgH*ba)*a^-1 over
+a, b in U: the U-conjugates of the right translates HgH*u = H*gu*H.  So the
+walk needs one seed per double coset of K, not a list of the [G:H] left
+cosets of H: the representative double_cosets gives for K, the least left
+coset of K in each orbit of K on its [G:K] left cosets.  That coset is
+canonical for H too, since its least element is least in its own left coset
+of H.  U moves every letter H fixes, so K fixes none, and the call on K
+takes every left coset of K as a seed, with nothing to fold.  From a seed,
+the folds close the H-double cosets found under conjugation by U, and right
+moves rep*u by U's generators close them under right translation, so
+together they reach every H-double coset in K*g*K.  On C(A9, Alt{1..5}) the
+call on K walks the 252 left cosets of K, not the 3,024 of H.  When U is
+trivial, K is H and every left coset of H is a seed.
 
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
@@ -72,10 +78,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, le
 
 from . import config
 from .perm import (BoundExceeded, Permutation, PermGroup, _extend, _identity,
-                   _inv, _mul, _sift, _trivial_chain, sym, sym_embed)
+                   _inv, _mul, _parity, _sift, _trivial_chain, sym,
+                   sym_embed)
 
 
 def _check_inclusion(group: PermGroup, sub: PermGroup) -> None:
@@ -119,11 +127,12 @@ class DoubleCoset:
     """One double coset sub*rep*sub with its size data.
 
     stab_gens generate the stabilizer S(rep) = sub & rep*sub*rep^-1, as raw
-    0-based image tuples; they are Schreier generators recorded by the orbit
-    walk that found the double coset, moved to rep, or conjugates of a
-    root's.
-    self_inverse tells whether rep^-1 lies in sub*rep*sub, that is whether
-    the left coset rep^-1*sub was reached by the same walk.  It holds exactly
+    0-based image tuples.  A root's are read off the cells of its
+    block-count matrix when the double coset was listed
+    (_BlockCounts.stab_gens), else they are Schreier generators recorded by
+    the orbit walk that found it, moved to rep; every other double coset has
+    the conjugates of its root's.
+    self_inverse tells whether rep^-1 lies in sub*rep*sub.  It holds exactly
     when some element of rep*sub squares into sub: if rep^-1 = h1*rep*h2
     then (rep*h1)^2 = h2^-1*h1, and if (rep*x)^2 = h then
     rep^-1 = x*rep*(x*h^-1).
@@ -225,83 +234,171 @@ def _free_letter_gens(group: PermGroup, sub: PermGroup
 
 
 class _BlockCounts:
-    """The double cosets of a Young group Y = prod Sym(O_j), named by their
-    block-count matrices.
+    """The double cosets of sub, a Young or signed-Young group, in group, the
+    Young group of its own orbits (S_n is one), read off block-count
+    matrices.
 
-    The blocks are Y's orbits, then each letter Y fixes as a block of its
-    own, and M(y)[i][j] counts the letters p of block i with y(p) in block
-    j.  Y maps each block onto itself, so M(h1*y*h2) = M(y) for h1, h2 in Y.
-    Conversely, let M(z) = M(y).  In each block i the letters that y sends
-    into block j and those that z sends there are equally many, for every
-    j, so some h2 in Y maps the second set onto the first, for all i and j
-    at once.  Then y*h2 and z send each letter into the same block, and in
-    each block j the letters y*h2 reaches are those z reaches, all of j; the
-    map y*h2(p) -> z(p) is a permutation of every block, some h1 in Y, and
-    h1*y*h2 = z.  So HyH = HzH exactly when M(y) = M(z).
+    Matrices.  Let Y = prod Sym(O_j) be the Young group of sub's orbits, so
+    sub = Y or sub = ker eps in Y, eps(y) the product of y's signs on the
+    signed orbits (PermGroup.young_shape).  The blocks are sub's orbits,
+    then each letter that sub fixes and group moves, alone; a letter group
+    fixes is fixed throughout and left out.  M(y)[i][j] counts
+    the letters p of block i with y(p) in block j.  Y maps each block onto
+    itself, so M(h1*y*h2) = M(y) for h1, h2 in Y.  Conversely, let M(z) =
+    M(y).  In each block i the letters that y sends into block j and those
+    that z sends there are equally many, for every j, so some h2 in Y maps
+    the second set onto the first, for all i and j at once.  Then y*h2 and z
+    send each letter into the same block, and in each block j the letters
+    y*h2 reaches are those z reaches, all of j; the map y*h2(p) -> z(p) is a
+    permutation of every block, some h1 in Y, and h1*y*h2 = z.  So YyY = YzY
+    exactly when M(y) = M(z) (James and Kerber, The Representation Theory of
+    the Symmetric Group, 1.3).  group holds every permutation of each of its
+    orbits, so its Y-double cosets are named by the matrices with the block
+    sizes as row and column sums whose nonzero cells join two blocks of one
+    orbit of group.
+
+    Signs.  When sub = Y each matrix names one double coset of sub.
+    Otherwise let sigma_i be 1 when block i is a signed orbit and 0 if not,
+    and give y = a*z*b (a, b in Y, z in YyY fixed) the class
+    (eps(a), eps(b)) in F_2^2, eps(a) as bit 0 and eps(b) as bit 1.
+    sub x sub is normal in Y x Y with quotient F_2^2, so the double cosets
+    of sub in YzY are the classes modulo the image I of the pairs
+    (s, z^-1*s*z) with s in Y & zYz^-1: two decompositions of one y differ
+    by such a pair, and if y = a*z*b and y' = a'*z*b' have classes that
+    differ by that of (s, z^-1*s*z), then
+    y' = (a'*s*a^-1) * y * (b^-1*z^-1*s^-1*z*b'), both factors in sub.
+    Y & zYz^-1 is the Young group of z's cells {q in block k : z^-1(q) in
+    block l}, of M[l][k] letters each, and a transposition in one has the
+    class (sigma_k, sigma_l).  So the matrix splits into 4/|I| double
+    cosets of sub, I spanned by (sigma_j, sigma_i) over the cells (i, j)
+    with M[i][j] >= 2, told apart by the class modulo I.
     """
 
-    def __init__(self, orbits: tuple[tuple[int, ...], ...], degree: int):
-        block = [-1] * degree
-        for j, o in enumerate(orbits):
+    def __init__(self, group: PermGroup, sub: PermGroup):
+        n = group.degree
+        orbits, signed = sub.young_shape()
+        g_orbit = [-1] * n
+        for k, o in enumerate(group.young_shape()[0]):
             for p in o:
-                block[p] = j
-        count = len(orbits)
-        for p in range(degree):
-            if block[p] < 0:
-                block[p] = count
-                count += 1
-        self.orbits = orbits
-        self.block = block
+                g_orbit[p] = k
+        placed = {p for o in orbits for p in o}
+        fixed = [p for p in range(n) if p not in placed and g_orbit[p] >= 0]
+        blocks = [*orbits, *((p,) for p in fixed)]
+        a = len(blocks)
+        self.n, self.blocks, self.signed = n, blocks, bool(signed)
+        self.block = [-1] * n
+        for i, b in enumerate(blocks):
+            for p in b:
+                self.block[p] = i
+        self.letters = sorted(placed.union(fixed))
+        self.sign = [int(i in signed) for i in range(a)]
+        self.cols = [[j for j, c in enumerate(blocks)
+                      if g_orbit[c[0]] == g_orbit[b[0]]] for b in blocks]
+        # a matrix is one flat row-major list; its transpose is read off it
+        # at these positions
+        self.transpose = [j * a + i for i in range(a) for j in range(a)]
+        # a cell {q in block k : w^-1(q) in block l} is numbered k*a + l
+        self.base = [self.block[q] * a for q in range(n)]
         # the least letter of each block, and after each letter the next
-        # letter of its block (degree after the last)
-        self.first = [-1] * count
-        self.succ = [degree] * degree
-        for v in range(degree - 1, -1, -1):
-            j = block[v]
-            if self.first[j] >= 0:
-                self.succ[v] = self.first[j]
-            self.first[j] = v
-        # a bytes key takes a third of a tuple's memory at degree 10, but
-        # holds block numbers only below 256: a trivial H of degree 300 has
-        # 300 blocks
-        self.pack = bytes if count <= 256 else tuple
+        # letter of its block (n after the last)
+        self.first = [b[0] for b in blocks]
+        self.succ = [n] * n
+        for b in blocks:
+            for p, q in zip(b, b[1:]):
+                self.succ[p] = q
+        # eps reads the parity on the letters of the signed orbits
+        self.odd = [p for j in signed for p in orbits[j]]
+        self.rank = {p: r for r, p in enumerate(self.odd)}
+        # U = Sym(Fix sub) & group, the symmetric group on the letters sub
+        # fixes in each orbit of group, by a transposition and a cycle per
+        # orbit.  u maps block i onto a block pi(i), an orbit onto itself,
+        # so M(u*y*u^-1)[pi(i)][pi(j)] = M(y)[i][j]: each u comes with the
+        # positions of a key, a flat matrix and a class, that the moved key
+        # reads
+        self.free = []
+        for k in sorted({g_orbit[p] for p in fixed}):
+            here = [p for p in fixed if g_orbit[p] == k]
+            for c in ([here[:2], here] if len(here) > 2 else [here]):
+                if len(c) > 1:
+                    u = _cycle(c, n)
+                    pi = [self.block[u[b[0]]] for b in blocks]
+                    src = [a * a] * (a * a + 1)
+                    for i in range(a):
+                        for j in range(a):
+                            src[pi[i] * a + pi[j]] = i * a + j
+                    self.free.append((u, src))
 
-    def key(self, y: tuple[int, ...]) -> bytes | tuple[int, ...]:
-        """M(y), encoded as the block of each y(p), sorted within each
-        orbit's letters: those of orbit i list row i's counts, and a fixed
-        letter's entry is its row."""
-        block = self.block
-        out = [block[v] for v in y]
-        for o in self.orbits:
-            for p, j in zip(o, sorted([out[p] for p in o])):
-                out[p] = j
-        return self.pack(out)
+    def matrices(self):
+        """Every matrix, lazily, as one flat list with its rows as dicts
+        {j: M[i][j]} of the counts that are not 0 (the same lists each
+        time, refilled).
 
-    def least(self, y: tuple[int, ...]) -> tuple[int, ...]:
-        """The least element of HyH, read off M(y).
+        Row by row, each way to share the row's letters among its columns
+        that leaves every column room for its count is taken.  The rows
+        left can always be filled: in each orbit of group their letters and
+        the columns' room are equally many, and every cell inside the orbit
+        is allowed."""
+        a = len(self.blocks)
+        sizes = [len(b) for b in self.blocks]
+        ways = []
+        for i in range(a):
+            ways.append([])
+            for way in _shares(sizes[i], [sizes[j] for j in self.cols[i]]):
+                row = {j: m for j, m in zip(self.cols[i], way) if m}
+                ways[i].append((row, tuple(row), tuple(row.values())))
+        flat = [0] * (a * a)
+        room = sizes.copy()
+        if not a:
+            yield flat, []
+            return
+        # one iterator over the ways of each row filled so far, and the way
+        # each has taken
+        owed = [{}] * a
+        rows = [iter(ways[0])]
+        while rows:
+            i = len(rows) - 1
+            for j, m in owed[i].items():
+                flat[i * a + j] = 0
+                room[j] += m
+            owed[i] = {}
+            for row, js, ms in rows[i]:
+                if all(map(le, ms, map(room.__getitem__, js))):
+                    break
+            else:
+                rows.pop()
+                continue
+            owed[i] = row
+            for j, m in row.items():
+                flat[i * a + j] = m
+                room[j] -= m
+            if i + 1 < a:
+                rows.append(iter(ways[i + 1]))
+            else:
+                yield flat, owed
+
+    def least(self, owed: list[dict[int, int]]) -> tuple[int, ...]:
+        """The least element z of the Y-double coset of the matrix with
+        the rows owed.
 
         Each letter p in turn, in block i, takes the least value not yet
         taken from any block j it still owes a count to (M[i][j] less the
         letters of block i already sent into block j).  The owed counts stay
         realizable: row i's sum is the letters of block i still to fill,
         column j's the values of block j not yet taken, so any owed j can
-        still be chosen, every such choice extends to an element of HyH,
+        still be chosen, every such choice extends to an element of YzY,
         and the greedy value at each letter is the least any of them has
         there.
         """
         block, succ = self.block, self.succ
-        owed: list[dict[int, int]] = [{} for _ in self.first]
-        for p, v in enumerate(y):
-            row = owed[block[p]]
-            row[block[v]] = row.get(block[v], 0) + 1
+        owed = [row.copy() for row in owed]
         # the least value of each block not yet taken
         least = self.first.copy()
-        out = []
-        for i in block:
-            row = owed[i]
+        out = list(range(self.n))
+        for p in self.letters:
+            row = owed[block[p]]
             j = min(row, key=least.__getitem__)
             v = least[j]
-            out.append(v)
+            out[p] = v
             least[j] = succ[v]
             if row[j] == 1:
                 del row[j]
@@ -309,39 +406,324 @@ class _BlockCounts:
                 row[j] -= 1
         return tuple(out)
 
+    def least_in(self, owed: list[dict[int, int]], z: tuple[int, ...],
+                 target: int, span: set[int]) -> tuple[int, ...]:
+        """The least element of the double coset of sub with class target
+        in the Y-double coset of the matrix with the rows owed, whose least
+        element is z and whose I is span.
 
-def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
-    """Double cosets of sub in group, sorted by canonical representative.
+        Each letter p in turn takes the least value from which an element of
+        the double coset can still be completed.  Those values are the least
+        element's: by induction the values before p are, the least element's
+        own value at p can be completed, and a smaller one that could would
+        give a smaller element.  The completions of a prefix are A*w0*B,
+        with w0 any one of them, A the Young group of the blocks' values not
+        yet taken and B that of their letters not yet placed: given another,
+        w, some b in B gives w0*b the block of w at every letter, and
+        w*(w0*b)^-1 fixes the values taken and maps each block onto itself.
+        So the completions reach exactly the classes of w0 plus
+        eps(A) x eps(B) plus I, where eps(A) takes both values when a
+        signed orbit still has two values free, and eps(B) when one still
+        has two letters to place.  For w0 take the greedy completion w, which least shows
+        to be the least completion: it starts as z, stays while p takes its
+        value w(p), the least p can take, and once its class is the target
+        it is the element sought.
+        """
+        a, block, sign, letters = (len(self.blocks), self.block, self.sign,
+                                   self.letters)
+        owed = [row.copy() for row in owed]
+        taken = [False] * self.n
+        free = [len(b) for b in self.blocks]
+        todo = free.copy()
+        out = list(range(self.n))
+        w, cw = z, 0
+        for at, p in enumerate(letters):
+            row = owed[block[p]]
+            todo[block[p]] -= 1
+            for v in letters:
+                j = block[v]
+                if taken[v] or not row.get(j):
+                    continue
+                out[p] = v
+                taken[v] = True
+                free[j] -= 1
+                row[j] -= 1
+                # the classes eps(A) and eps(B) hold besides 0
+                left = any(sign[k] and free[k] > 1 for k in range(a))
+                right = any(sign[k] and todo[k] > 1 for k in range(a))
+                if v == w[p]:
+                    u, c = w, cw
+                else:
+                    u = self._complete(out, letters[at + 1:], owed, taken)
+                    c = self.cls(u, z)
+                if left and right or target in {
+                        min(c ^ x ^ y ^ s for s in span)
+                        for x in {0, left} for y in {0, 2 * right}}:
+                    w, cw = u, c
+                    break
+                taken[v] = False
+                free[j] += 1
+                row[j] += 1
+            if min(cw ^ s for s in span) == target:
+                return w
 
-    The index [group : sub] is checked first, so a skip names that bound.
+    def _complete(self, out, rest, owed, taken) -> tuple[int, ...]:
+        """out with the letters rest filled greedily from the values not
+        taken, as owed."""
+        block, letters = self.block, self.letters
+        w, taken, owed = out.copy(), taken.copy(), [r.copy() for r in owed]
+        for p in rest:
+            row = owed[block[p]]
+            v = next(v for v in letters if not taken[v] and row.get(block[v]))
+            w[p] = v
+            taken[v] = True
+            row[block[v]] -= 1
+        return tuple(w)
+
+    def split(self, w: tuple[int, ...], ref: tuple[int, ...]
+              ) -> tuple[int, ...]:
+        """Some h in Y with h*w in ref*Y, for w and ref of one matrix.
+
+        h maps the values that w takes in block k from letters of block l
+        onto those that ref takes there, in increasing order; then
+        ref^-1*h*w maps each block onto itself."""
+        base, block, letters = self.base, self.block, self.letters
+        out = list(range(self.n))
+        for x, y in zip(
+                sorted(letters, key=list(map(
+                    add, base, map(block.__getitem__, _inv(w)))).__getitem__),
+                sorted(letters, key=list(map(
+                    add, base, map(block.__getitem__, _inv(ref)))).__getitem__)):
+            out[x] = y
+        return tuple(out)
+
+    def eps(self, x: tuple[int, ...]) -> int:
+        """eps(x) of an x in Y, as a bit."""
+        rank = self.rank
+        return _parity([rank[x[p]] for p in self.odd])
+
+    def cls(self, w: tuple[int, ...], ref: tuple[int, ...]) -> int:
+        """The class of w with ref for z, both of one matrix: w = a*ref*b
+        with a = h^-1 and b = ref^-1*h*w, h from split."""
+        h = self.split(w, ref)
+        return self.eps(h) | self.eps(_mul(_inv(ref), _mul(h, w))) << 1
+
+    def cells(self, rep: tuple[int, ...]):
+        """The cells {q in block k : rep^-1(q) in block l} of rep that are
+        not empty, each as the class (sigma_k, sigma_l) of a transposition
+        in it and its sorted letters."""
+        a, block = len(self.blocks), self.block
+        cells: dict[int, list[int]] = {}
+        for q, p in enumerate(_inv(rep)):
+            if block[q] >= 0:
+                cells.setdefault(block[q] * a + block[p], []).append(q)
+        return [(self.sign[c // a] | self.sign[c % a] << 1, qs)
+                for c, qs in cells.items()]
+
+    def parities(self, rep: tuple[int, ...]):
+        """(span, even).  span maps each class of I to pairs of letters, one
+        transposition s_c in each of some cells c of rep, whose product s
+        has (eps(s), eps(rep^-1*s*rep)) that class; even holds one such
+        list per vector of the kernel of the map from the parities on the
+        cells to F_2^2, a basis of it."""
+        span: dict[int, list[tuple[int, int]]] = {0: []}
+        even = []
+        for v, qs in self.cells(rep):
+            if len(qs) > 1:
+                t = (qs[0], qs[1])
+                if v in span:
+                    even.append([t, *span[v]])
+                else:
+                    span.update({x ^ v: [*ts, t] for x, ts in list(span.items())})
+        return span, even
+
+    def stab_gens(self, rep: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Generators of S(rep) = sub & rep*sub*rep^-1.
+
+        S(rep) lies in Y & rep*Y*rep^-1, the Young group of rep's cells.
+        An x there has class (eps(x), eps(rep^-1*x*rep)) = the sum over the
+        cells of x's parity on the cell times the cell's class, and lies in
+        S(rep) exactly when that is 0.  So S(rep) holds the alternating group
+        of every cell, and modulo their product it is the kernel of the
+        parities: it is generated by the alternating groups' generators (a
+        3-cycle and an odd-length cycle) and one product of transpositions
+        per vector of a basis of the kernel.  A cell of class 0 gives its
+        whole symmetric group, by a transposition and a cycle.
+        """
+        n = self.n
+        gens = []
+        for v, qs in self.cells(rep):
+            if v == 0 and len(qs) > 2:
+                gens.append(_cycle(qs, n))
+            elif v and len(qs) > 2:
+                gens.append(_cycle(qs[:3], n))
+                if len(qs) > 3:
+                    gens.append(_cycle(qs if len(qs) % 2 else qs[1:], n))
+        gens += [_swaps(ts, n) for ts in self.parities(rep)[1]]
+        return tuple(gens)
+
+    def conjugator(self, y: tuple[int, ...], rep: tuple[int, ...]
+                   ) -> tuple[int, ...]:
+        """An h in sub with h*y*sub = rep*sub, for y in sub*rep*sub.
+
+        split gives h in Y with y = h^-1*rep*b, b in Y.  When sub is signed,
+        the class v of y lies in I, and the product s of
+        parities(rep)[0][v] gives y = (h^-1*s)*rep*(rep^-1*s*rep*b), both
+        factors in sub; s*h is the h sought.
+        """
+        h = self.split(y, rep)
+        if self.signed:
+            v = self.eps(h) | self.eps(_mul(_inv(rep), _mul(h, y))) << 1
+            if v:
+                h = _mul(_swaps(self.parities(rep)[0][v], self.n), h)
+        return h
+
+
+def _shares(total: int, caps: list[int]):
+    """The tuples of counts, each at most its cap, that sum to total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for m in range(min(total, caps[0]) + 1):
+        for rest in _shares(total - m, caps[1:]):
+            yield (m, *rest)
+
+
+def _cycle(letters, n: int) -> tuple[int, ...]:
+    img = list(range(n))
+    for p, q in zip(letters, [*letters[1:], letters[0]]):
+        img[p] = q
+    return tuple(img)
+
+
+def _swaps(pairs, n: int) -> tuple[int, ...]:
+    img = list(range(n))
+    for p, q in pairs:
+        img[p], img[q] = q, p
+    return tuple(img)
+
+
+# I when sub is a Young group
+_NO_SIGNS = frozenset({0})
+
+
+def _listed(group: PermGroup, sub: PermGroup) -> dict:
+    """The double cosets of a Young or signed-Young sub in a Young group, by
+    _BlockCounts: rep -> (n_left, stab_gens, self_inverse, root's rep,
+    conj).
+
+    Each matrix M, as it is listed, gives one double coset per class
+    modulo I.  rep is its least element (least for the class 0 of z,
+    least_in for the others), n_left = |sub| / |S(rep)| with
+    |S(rep)| = prod M[i][j]! / |I| (see stab_gens), and self_inverse holds
+    when M(rep^-1) = M^T equals M and rep^-1 has rep's class.  A double
+    coset is keyed by M and its class.  u in U maps the double coset of y
+    to that of u*y*u^-1, whose matrix is M with the rows and columns of the
+    fixed letters permuted by u.  The root of each orbit of U is its least
+    double coset, and its stab_gens are read off its cells.  Every other
+    double coset of the orbit has conj = h*u, with u*root*u^-1 in it and h
+    in sub from conjugator, and the root's generators moved by conj, each
+    checked to fix rep*sub.
+    """
+    bc = _BlockCounts(group, sub)
+    h_order = sub.order()
+    fact = [math.factorial(m) for m in range(group.degree + 1)]
+    pack = _pack(group.degree)
+    # per double coset (rep, n_left, self_inverse, key, I), the key being
+    # its flat matrix and then its class, and the position of each key
+    pieces = []
+    where = {}
+    for flat, owed in bc.matrices():
+        z = bc.least(owed)
+        # I, whose classes the cells of z have
+        span = set(bc.parities(z)[0]) if bc.signed else _NO_SIGNS
+        n_left = h_order * len(span) // math.prod(map(fact.__getitem__, flat))
+        symmetric = flat == list(map(flat.__getitem__, bc.transpose))
+        classes = {min(c ^ x for x in span)
+                   for c in (range(4) if bc.signed else (0,))}
+        for c in sorted(classes):
+            rep = z if c == 0 else bc.least_in(owed, z, c, span)
+            inverse = symmetric and (not bc.signed or min(
+                bc.cls(_inv(rep), z) ^ x for x in span) == c)
+            key = pack(flat + [c])
+            where[key] = len(pieces)
+            pieces.append((rep, n_left, inverse, key, span))
+    idt = _identity(group.degree)
+    root = [-1] * len(pieces)
+    conj = [idt] * len(pieces)
+    order = sorted(range(len(pieces)), key=pieces.__getitem__)
+    for r in order:
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        rep_r = pieces[r][0]
+        # (position, u) with u*root*u^-1 in the double coset there
+        queue = [(r, idt)]
+        for q, u_src in queue:
+            for g, src in bc.free:
+                # the matrix of g*y*g^-1 for y in this double coset, and
+                # its class, which only a signed sub must compute anew,
+                # with z the rep of the class 0 of that matrix
+                key = list(map(pieces[q][3].__getitem__, src))
+                if bc.signed:
+                    key[-1] = 0
+                    z, _, _, _, span = pieces[where[pack(key)]]
+                    y = _mul(_mul(g, pieces[q][0]), _inv(g))
+                    key[-1] = min(bc.cls(y, z) ^ x for x in span)
+                t = where[pack(key)]
+                if root[t] < 0:
+                    u = _mul(g, u_src)
+                    moved = _mul(_mul(u, rep_r), _inv(u))
+                    root[t] = r
+                    conj[t] = _mul(bc.conjugator(moved, pieces[t][0]), u)
+                    queue.append((t, u))
+    found = {}
+    for i in order:
+        rep, n_left, inverse, _, _ = pieces[i]
+        rep_r = pieces[root[i]][0]
+        if root[i] == i:
+            gens = bc.stab_gens(rep)
+        else:
+            k = conj[i]
+            k_inv = _inv(k)
+            gens = tuple(_mul(_mul(k, x), k_inv) for x in found[rep_r][1])
+            assert all(sub.coset_min(_mul(x, rep)) == rep for x in gens)
+        found[rep] = (n_left, gens, inverse, rep_r, conj[i])
+    return found
+
+
+def _pack(degree: int):
+    """The key type for a list of letters or counts of this degree: bytes
+    hold values below 256 only, and past that the tuple itself is kept.
+    A bytes key takes a third of a tuple's memory at degree 10; keeping the
+    tuples scatters them among the long-lived objects a listing creates,
+    which raised the scan's peak RSS."""
+    return bytes if degree < 256 else tuple
+
+
+def _walked(group: PermGroup, sub: PermGroup) -> dict:
+    """The double cosets of any sub by orbit walks of its left cosets:
+    rep -> (n_left, stab_gens, self_inverse, root's rep, conj).
+
     The seeds are the representatives of double_cosets(group, K), with
     K = sub x U, one least left coset of K per double coset K*g*K, or every
-    left coset of sub when U is trivial.  Each seed starts a work list
-    of candidate roots.  A candidate whose double coset is already placed is
-    skipped.  Otherwise its orbit walk sifts generators of S(start) and
-    decides self_inverse, and the orbit's least coset becomes the root:
-    t = trans[root] carries start to it, so S(root) = t*S(start)*t^-1.  The
-    root's images under the free-letter generators u (and their images in
-    turn) are folded: with k = u*k_src, the double coset of k*root*k^-1, if
-    not placed, has the root's data conjugated by conj = k*trans[c]*t^-1,
-    where c is the canonical left coset of k^-1*rep*k, rep the new double
-    coset's least element: trans[c]*t^-1 carries root*sub to c*sub, and k
-    carries c*sub to rep*sub.  Every double coset placed, root or folded,
-    adds its right moves rep*u to the work list.  A seed's work ends once
-    every left coset of K*seed*K is placed.
-
-    What "placed" holds depends on sub.  For a Young sub it is one
-    block-count key per double coset (_BlockCounts proves that the matrix
-    names the double coset and that its greedy element is the least): a
-    candidate is keyed raw, and canonicalized only when its double coset is
-    new; a fold keys k*root*k^-1 raw, and rep is read off its matrix, so
-    one coset_min finds c and no left coset is mapped.  For every other sub
-    (a signed-Young one included) it is the left cosets of each double
-    coset placed: a candidate is canonicalized first, and a fold maps the
-    root's orbit through c -> coset_min(k*c*k^-1), one coset_min per left
-    coset, rep being the least image.
+    left coset of sub when U is trivial.  Each seed starts a work list of
+    candidate roots, canonical left cosets.  A candidate whose left coset is
+    already placed is skipped.  Otherwise its orbit walk sifts generators of
+    S(start) and decides self_inverse, and the orbit's least coset becomes
+    the root: t = trans[root] carries start to it, so
+    S(root) = t*S(start)*t^-1.  The root's images under the free-letter
+    generators u (and their images in turn) are folded: with k = u*k_src,
+    the double coset of k*root*k^-1, if not placed, is the root's orbit
+    mapped through c -> coset_min(k*c*k^-1), one coset_min per left coset,
+    its rep the least image, and it has the root's data conjugated by
+    conj = k*trans[c]*t^-1, where c is the left coset that maps to rep:
+    trans[c]*t^-1 carries root*sub to c*sub, and k carries c*sub to rep*sub.
+    Every double coset placed, root or folded, adds its right moves rep*u to
+    the work list.  A seed's work ends once every left coset of K*seed*K is
+    placed.
     """
-    _coset_index(group, sub)
     h_order = sub.order()
     gens = [g._img for g in sub.generators]
     free = _free_letter_gens(group, sub)
@@ -356,16 +738,8 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
         # K = sub: every left coset is a seed, and with nothing to fold or
         # move, no seed's work needs a count
         seeds = [(p._img, math.inf) for p in left_coset_reps(group, sub)]
-    shape = sub.young_shape()
-    blocks = (_BlockCounts(shape[0], group.degree)
-              if shape is not None and not shape[1] else None)
-    # placed keys: a Young sub's block counts, else the left cosets placed,
-    # as bytes up to 256 letters and past that as the tuples themselves.
-    # Keeping the tuples scatters them among the long-lived objects the walk
-    # creates, which raised the scan's peak RSS
-    key = bytes if group.degree <= 256 else tuple
+    key = _pack(group.degree)
     placed: set = set()
-    # rep -> (n_left, stab_gens, self_inverse, root's rep, conj)
     found: dict[tuple[int, ...], tuple] = {}
     for seed, left in seeds:
         # left: the left cosets of K*seed*K not yet placed; work: the seed,
@@ -374,22 +748,12 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
         for y, right in work:
             if left <= 0:
                 break
-            if blocks is not None:
-                start = y if right is None else _mul(y, right)
-                start_key = blocks.key(start)
-                if start_key in placed:
-                    continue
-                placed.add(start_key)
-                if right is not None:
-                    start = sub.coset_min(start)
-            else:
-                start = y if right is None else sub.coset_min(_mul(y, right))
-                if key(start) in placed:
-                    continue
+            start = y if right is None else sub.coset_min(_mul(y, right))
+            if key(start) in placed:
+                continue
             orbit, trans, stab_gens, self_inverse = _coset_orbit(start, sub,
                                                                  gens)
-            if blocks is None:
-                placed.update(map(key, orbit))
+            placed.update(map(key, orbit))
             left -= len(orbit)
             root = min(orbit)
             # t in sub carries start*sub to root*sub, so trans[c]*t^-1
@@ -407,24 +771,15 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
                         break
                     k = _mul(u, k_src)
                     k_inv = _inv(k)
-                    moved_root = _mul(_mul(k, root), k_inv)
-                    if blocks is not None:
-                        moved_key = blocks.key(moved_root)
-                        if moved_key in placed:
-                            continue
-                        placed.add(moved_key)
-                        rep = blocks.least(moved_root)
-                        c = sub.coset_min(_mul(_mul(k_inv, rep), k))
-                    else:
-                        moved_root = sub.coset_min(moved_root)
-                        if key(moved_root) in placed:
-                            continue
-                        image = [moved_root if i == at_root
-                                 else sub.coset_min(_mul(_mul(k, c), k_inv))
-                                 for i, c in enumerate(orbit)]
-                        placed.update(map(key, image))
-                        rep = min(image)
-                        c = orbit[image.index(rep)]
+                    moved_root = sub.coset_min(_mul(_mul(k, root), k_inv))
+                    if key(moved_root) in placed:
+                        continue
+                    image = [moved_root if i == at_root
+                             else sub.coset_min(_mul(_mul(k, c), k_inv))
+                             for i, c in enumerate(orbit)]
+                    placed.update(map(key, image))
+                    rep = min(image)
+                    c = orbit[image.index(rep)]
                     conj = _mul(k, _mul(trans[c], t_inv))
                     conj_inv = _inv(conj)
                     moved = tuple(_mul(_mul(conj, x), conj_inv)
@@ -435,6 +790,25 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
                     found[rep] = (len(orbit), moved, self_inverse, root, conj)
                     queue.append(conj)
                     work += [(rep, u) for u in free]
+    return found
+
+
+def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
+    """Double cosets of sub in group, sorted by canonical representative.
+
+    The index [group : sub] is checked first, so a skip names that bound.
+    When sub has a Young shape, signed orbits included, and group is the
+    Young group of its own orbits (S_n is), the double cosets are listed
+    from block-count matrices (_BlockCounts, _listed), one step per double
+    coset and none per left coset.  Every other pair is walked (_walked).
+    """
+    _coset_index(group, sub)
+    h_order = sub.order()
+    shape = group.young_shape()
+    if sub.young_shape() is not None and shape is not None and not shape[1]:
+        found = _listed(group, sub)
+    else:
+        found = _walked(group, sub)
     where = {p: j for j, p in enumerate(sorted(found))}
     out = tuple(DoubleCoset(rep=Permutation._from_raw(p), n_left=n_left,
                             size=n_left * h_order, stab_gens=stab_gens,

@@ -20,8 +20,8 @@ implemented here and cross-checked in the test suite:
 _twisted_counts gives the class census of the twisted sum chi(x * u x u^-1)
 over S, from which _census_indicators reads every twisted indicator at once.
 
-category_scan walks every double coset and reports one row per simple
-object.  For m = 2 the double-coset walk has already decided vanishing: a
+category_scan visits every double coset and reports one row per simple
+object.  For m = 2 double_cosets has already decided vanishing: a
 coset that is not self-inverse (DoubleCoset.self_inverse) has no element
 squaring into H, so all its indicators are zero without a sum.  Otherwise
 the scan uses the stabilizer sum at an adjusted representative w, on the
@@ -127,15 +127,24 @@ def nu_m(g: Permutation, chi: Character, sub: PermGroup, m: int = 2) -> int:
     return _nu_m_row(g, [chi], sub, m)[0]
 
 
+def _nu_m_census(g: Permutation, characters, sub: PermGroup, m: int
+                 ) -> tuple[list[int], list[int]]:
+    """(counts, row): the one census of the defining sum
+    (_coset_power_counts), and nu_m(g, chi) read off it for every chi of
+    characters, which share one class object.  Every value counted is a
+    witness of vanishing_witness."""
+    _check_m(m)
+    cd = characters[0].classes
+    counts = _coset_power_counts(g, sub, cd, m)
+    return counts, _census_indicators(counts, characters, cd.group.order(),
+                                      _Label(f"nu_{m} of", g), conj=True)
+
+
 def _nu_m_row(g: Permutation, characters, sub: PermGroup, m: int
               ) -> list[int]:
     """nu_m(g, chi) for every chi of characters, which share one class
     object, from one census of the defining sum."""
-    _check_m(m)
-    cd = characters[0].classes
-    counts = _coset_power_counts(g, sub, cd, m)
-    return _census_indicators(counts, characters, cd.group.order(),
-                              _Label(f"nu_{m} of", g), conj=True)
+    return _nu_m_census(g, characters, sub, m)[1]
 
 
 def vanishing_witness(g: Permutation, sub: PermGroup, m: int) -> bool:
@@ -573,10 +582,11 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                   seed: int | None = None) -> IndicatorReport:
     """Indicators of every simple object of the pair category of (G, H).
 
-    The stabilizers come from the double-coset walk.  Each distinct
+    The stabilizers come from double_cosets (DoubleCoset.stab_gens), read
+    off block-count matrices or recorded by the orbit walk.  Each distinct
     stabilizer has its classes and character table built once for all the
     double cosets that share it, and is dropped before the next.  Per coset,
-    m = 2 gives all-zero rows on a double coset that the walk found not
+    m = 2 gives all-zero rows on a double coset that double_cosets found not
     self-inverse.  Otherwise the first coset the scan reaches of each orbit
     under the free letters (DoubleCoset.root) computes its rows: m = 2 takes
     the stabilizer-only sum at an adjusted representative, every other m the

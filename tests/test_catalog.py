@@ -13,9 +13,9 @@ import json
 import pytest
 
 from fscat import cosets
-from fscat.catalog import claim_ids, run_all, verify
+from fscat.catalog import _EXAMPLES, claim_ids, run_all, verify
 from fscat.indicators import category_scan
-from fscat.perm import alt, tilde_sym
+from fscat.perm import PermGroup, alt, tilde_sym
 
 
 def test_registry_lists_all_claims():
@@ -60,11 +60,14 @@ def test_oversized_instances_come_back_skipped():
 
 def test_census_skips_on_the_enumeration_bound_before_the_coset_walk(
         monkeypatch):
-    # the index of Sym{1..5} in S_10 is within the bound, S_10 is not
+    # the index of Sym{1..5} in S_10 is within the bound, S_10 is not;
+    # sym_census lists the double cosets from block counts, so neither
+    # that listing nor an orbit walk may run
     def no_walk(*args):
         raise AssertionError("the coset walk ran")
 
     monkeypatch.setattr(cosets, "_coset_orbit", no_walk)
+    monkeypatch.setattr(cosets, "_listed", no_walk)
     report = verify("census", l=5, n=10)
     assert report.status == "skipped"
     assert "enumeration bound" in report.detail
@@ -80,6 +83,23 @@ def test_census_skips_on_the_index_bound_before_the_relabeling_route(
     report = verify("census", l=1, n=9)
     assert report.status == "skipped"
     assert "index bound" in report.detail
+
+
+def test_ex_nu_p_passes_over_h_once(monkeypatch):
+    # the witness is read off the census that gives the indicators, so
+    # Sym{1..5} is listed and powered once
+    calls = []
+    powers = PermGroup._coset_powers
+
+    def counting(self, g, m):
+        calls.append(m)
+        return powers(self, g, m)
+
+    monkeypatch.setattr(PermGroup, "_coset_powers", counting)
+    status, detail, lines = _EXAMPLES["ex-nu-p"]()
+    assert calls == [7]
+    assert status == "pass"
+    assert lines[1] == "some element of gH has its 7th power in H: False"
 
 
 def test_report_line_and_payload():

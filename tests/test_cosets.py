@@ -3,18 +3,22 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from unittest.mock import patch
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fscat import config, cosets
 from fscat.indicators import category_scan
-from test_chartab import young_groups
+from test_chartab import young_case, young_groups
 from test_indicators import gens_pairs
 from fscat.cosets import (
     BoundExceeded,
     DoubleCoset,
     _BlockCounts,
+    _pack,
+    _swaps,
     _canonical_form,
     _raw_normal_form,
     double_cosets,
@@ -32,6 +36,7 @@ from fscat.perm import (
     alt,
     alt_embed,
     cyclic,
+    embedded,
     sym,
     sym_embed,
     tilde_sym,
@@ -257,42 +262,71 @@ def test_trivial_free_letter_group_folds_nothing(group, sub):
         assert dc.conj == idt
 
 
-def count_coset_min(monkeypatch):
+def count_calls(monkeypatch, owner, name):
+    """The calls of owner.name, one entry each."""
     calls = []
-    coset_min = PermGroup.coset_min
+    f = getattr(owner, name)
 
-    def counting(self, y):
+    def counting(*args):
         calls.append(1)
-        return coset_min(self, y)
+        return f(*args)
 
-    monkeypatch.setattr(PermGroup, "coset_min", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
+def count_walks(monkeypatch):
+    """The calls of coset_min, of the orbit walk and of the left coset
+    listing."""
+    return [count_calls(monkeypatch, PermGroup, "coset_min"),
+            count_calls(monkeypatch, cosets, "_coset_orbit"),
+            count_calls(monkeypatch, cosets, "left_coset_reps")]
+
+
 def test_double_cosets_seed_from_the_cosets_of_h_times_u(monkeypatch):
-    # the 6 double cosets of K = Sym{1..5} x Sym{6..10}, from a walk of K's
-    # 252 left cosets, seed the walk, not the 30,240 of Sym{1..5}; listing
-    # those alone takes about 60,000 calls.  Sym{1..5} is a Young group, so
-    # its double cosets are placed by block counts: the 1,510 folds map
-    # none of their left cosets (37,190 calls when each took one), but each
-    # takes one coset_min for its conjugator and one per moved stabilizer
-    # generator, and a right move canonicalizes only a new start
+    # A9 is not a Young group, so Alt{1..5} in it is walked.  The 8 double
+    # cosets of K = Alt{1..5} x Alt{6..9} seed the walk, from one listing of
+    # K's 252 left cosets, and 28 more orbit walks, one per root, reach all
+    # 210 double cosets of Alt{1..5}: the 3,024 left cosets of Alt{1..5}
+    # are never listed
+    group, sub = alt(9), alt_embed(5, 9)
+    group.order(), sub.order()
+    calls, walks, listings = count_walks(monkeypatch)
+    dec = double_cosets(group, sub)
+    assert (len(dec), len({dc.root for dc in dec})) == (210, 28)
+    assert (len(calls), len(walks), len(listings)) == (5549, 36, 1)
+    # Sym{1..5} is a Young group in the Young group S10: its 1,546 double
+    # cosets come from block-count matrices, with no left coset walked or
+    # listed; the only coset_min calls check the moved stabilizer
+    # generators of the 1,510 double cosets folded onto the 36 roots
     group, sub = sym(10), sym_embed(5, 10)
     group.order(), sub.order()
-    calls = count_coset_min(monkeypatch)
+    calls, walks, listings = count_walks(monkeypatch)
     dec = double_cosets(group, sub)
     assert (len(dec), len({dc.root for dc in dec})) == (1546, 36)
-    assert len(calls) == 7688
+    assert walks == listings == []
+    assert len(calls) == sum(len(dc.stab_gens)
+                             for i, dc in enumerate(dec) if dc.root != i) \
+        == 2779
 
 
 def test_double_cosets_walk_alone_when_no_letter_is_free(monkeypatch):
-    # tilde S8 fixes one letter of 11: U is trivial and H x U is H, so the
-    # walk lists the 990 left cosets of H once and takes no second walk
+    # tilde S5 in A7 fixes 6 and 7, but (6,7) is odd: U is trivial and
+    # H x U is H, so the walk lists the 420 left cosets of H once and walks
+    # each of the 80 double cosets once, with nothing to fold
+    group, sub = alt(7), tilde_sym(5, degree=7)
+    group.order(), sub.order()
+    calls, walks, listings = count_walks(monkeypatch)
+    assert len(double_cosets(group, sub)) == 80
+    assert (len(calls), len(walks), len(listings)) == (1761, 80, 1)
+    # tilde S8 in S11 is a signed Young group in a Young group: its 12
+    # block-count matrices split into 24 double cosets, and with U trivial
+    # nothing is folded, walked, listed or canonicalized
     group, sub = sym(11), tilde_sym(10, degree=11)
     group.order(), sub.order()
-    calls = count_coset_min(monkeypatch)
+    calls, walks, listings = count_walks(monkeypatch)
     assert len(double_cosets(group, sub)) == 24
-    assert len(calls) == 3985
+    assert calls == walks == listings == []
 
 
 def test_double_cosets_check_the_index_of_h_not_of_h_times_u(monkeypatch):
@@ -314,23 +348,22 @@ def test_double_cosets_beyond_byte_sized_letters():
 
 
 def test_young_double_cosets_beyond_byte_sized_blocks():
-    # Sym{1,2} in degree 300 has 299 blocks, its orbit and 298 fixed
-    # letters: block numbers past 255 do not fit a byte, so the keys are
-    # tuples, and the decomposition is that of degree 4, padded
+    # Sym{1,2} in Sym{1..4} at degree 300: the letters group fixes are left
+    # out of the blocks, but the keys of 300 letters are tuples, and the
+    # decomposition is that of degree 4, padded
     group, sub = sym_embed(4, 300), sym_embed(2, 300)
-    blocks = _BlockCounts(sub.young_shape()[0], 300)
-    assert blocks.pack is tuple and len(blocks.first) == 299
+    assert _pack(300) is tuple
+    assert _BlockCounts(group, sub).blocks == [(0, 1), (2,), (3,)]
     small = double_cosets(sym(4), sym_embed(2, 4))
     dec = double_cosets(group, sub)
     assert [dc.rep.to_text() for dc in dec] == \
         [dc.rep.to_text() for dc in small] == \
         ["()", "(3,4)", "(2,3)", "(2,3,4)", "(2,4,3)", "(2,4)", "(1,3)(2,4)"]
-    assert [dc.n_left for dc in dec] == [dc.n_left for dc in small]
-    swap = P("(1,2)", 300)._img
-    for dc in dec:
-        assert blocks.least(dc.rep._img) == dc.rep._img
-        y = _mul(_mul(swap, dc.rep._img), swap)
-        assert blocks.key(y) == blocks.key(dc.rep._img)
+    pad = tuple(range(4, 300))
+    for dc, sm in zip(dec, small):
+        assert (dc.n_left, dc.self_inverse) == (sm.n_left, sm.self_inverse)
+        assert dc.stab_gens == tuple(x + pad for x in sm.stab_gens)
+        assert (dc.root, dc.conj) == (sm.root, sm.conj + pad)
 
 
 def brute_double_coset_ids(n, sub_gens):
@@ -354,25 +387,47 @@ def brute_double_coset_ids(n, sub_gens):
     return comp
 
 
+def block_matrix(bc, y):
+    """M(y) over bc's blocks, flat, and its rows as dicts of the counts
+    that are not 0, as _BlockCounts.matrices gives them."""
+    a = len(bc.blocks)
+    flat = [0] * (a * a)
+    for p in bc.letters:
+        flat[bc.block[p] * a + bc.block[y[p]]] += 1
+    rows = [{j: m for j, m in enumerate(flat[i * a:i * a + a]) if m}
+            for i in range(a)]
+    return flat, rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(young_groups())
 def test_block_counts_name_each_double_coset_and_its_least_element(case):
-    # by brute force over S_n: equal block-count keys exactly when HyH = HzH,
-    # and the greedy element is min(HyH)
+    # by brute force over S_n, with Y the Young group of H's orbits: equal
+    # block counts exactly when YyY = YzY, and least gives min(YyY); equal
+    # block counts and classes modulo I exactly when HyH = HzH
     gens, n, _ = case
     assume(n <= 7)
     sub = PermGroup(n, gens)
     orbits, signed = sub.young_shape()
-    assume(not signed)
-    blocks = _BlockCounts(orbits, n)
-    least_of = brute_double_coset_ids(n, [g._img for g in sub.generators])
-    by_key = {}
-    for y, least in least_of.items():
-        assert by_key.setdefault(blocks.key(y), least) == least
-        assert blocks.least(y) == least
-    assert len(by_key) == len(set(least_of.values()))
+    bc = _BlockCounts(sym(n), sub)
+    young = [_swaps([(o[0], p)], n) for o in orbits for p in o[1:]]
+    least_y = brute_double_coset_ids(n, young)
+    least_h = brute_double_coset_ids(n, [g._img for g in sub.generators])
+    by_matrix, by_class = {}, {}
+    for y in least_y:
+        flat, rows = block_matrix(bc, y)
+        z = bc.least(rows)
+        assert z == least_y[y]
+        c = min(bc.cls(y, z) ^ x for x in bc.parities(z)[0])
+        assert (c == 0) == (not signed or least_h[y] == least_h[z])
+        assert by_matrix.setdefault(tuple(flat), least_y[y]) == least_y[y]
+        assert by_class.setdefault((tuple(flat), c), least_h[y]) == least_h[y]
+    assert len(by_matrix) == len(set(least_y.values()))
+    assert len(by_class) == len(set(least_h.values()))
 
 
+# builder; the walk's U, from _free_letter_gens, is all of Sym(Fix H) & G,
+# except where the letters H fixes lie in two orbits of G
 YOUNG_PAIRS = {
     "C(S10, Sym{1..5})": lambda: (sym(10), sym_embed(5, 10)),
     "C(S10, Sym{1..7})": lambda: (sym(10), sym_embed(7, 10)),
@@ -385,24 +440,121 @@ YOUNG_PAIRS = {
 }
 
 
+def same_group(degree, gens, other):
+    """Whether two generator lists give one group: equal orders and each
+    list's generators in the other's group."""
+    a = PermGroup(degree, [Permutation._from_raw(x) for x in gens])
+    b = PermGroup(degree, [Permutation._from_raw(x) for x in other])
+    return a.order() == b.order() and \
+        all(b.member(x) for x in a.generators) and \
+        all(a.member(x) for x in b.generators)
+
+
+def fold_orbits(dec):
+    by_root = {}
+    for i, dc in enumerate(dec):
+        by_root.setdefault(dc.root, set()).add(i)
+    return sorted(map(frozenset, by_root.values()), key=min)
+
+
+def assert_listing_matches_the_walk(dec, walked):
+    """The listing against the walk of the same pair: the same reps, sizes
+    and self-inverse flags, the same stabilizers as groups, and every conj
+    normalizing H and carrying the root's left coset onto rep*H."""
+    sub = dec.sub
+    assert [(dc.rep, dc.n_left, dc.size, dc.self_inverse) for dc in dec] == \
+        [(dc.rep, dc.n_left, dc.size, dc.self_inverse) for dc in walked]
+    for i, (dc, other) in enumerate(zip(dec, walked)):
+        assert same_group(sub.degree, dc.stab_gens, other.stab_gens)
+        k = Permutation._from_raw(dc.conj)
+        root = dec.cosets[dc.root]
+        assert root.root == dc.root <= i
+        assert sub.coset_min((k * root.rep * k.inverse())._img) == dc.rep._img
+        assert all(sub.member(k * s * k.inverse()) for s in sub.generators)
+
+
+def walk_of(group, sub):
+    """double_cosets of the pair with young_shape hidden, so by the walk."""
+    with patch.object(PermGroup, "young_shape", lambda self: None):
+        return double_cosets(PermGroup(group.degree, group.generators),
+                             PermGroup(sub.degree, sub.generators))
+
+
 @pytest.mark.parametrize("name", YOUNG_PAIRS)
-def test_block_count_placement_matches_the_left_coset_path(monkeypatch, name):
-    # with young_shape hidden (and _BlockCounts gone, so that the block
-    # route cannot run), double_cosets maps every folded left coset; every
-    # field of every double coset comes out the same
-    fields = ("rep", "n_left", "size", "stab_gens", "self_inverse", "root",
-              "conj")
+def test_block_count_placement_matches_the_left_coset_path(name):
+    # the matrices list every double coset as the walk with young_shape
+    # hidden does, and fold them along the same orbits of U where both
+    # take all of U; where the walk's U is trivial the listing folds by the
+    # whole of U, and its orbits are found by brute force
+    group, sub = YOUNG_PAIRS[name]()
+    assert sub.young_shape()[1] == () and group.young_shape()[1] == ()
+    dec = double_cosets(group, sub)
+    walked = walk_of(group, sub)
+    assert_listing_matches_the_walk(dec, walked)
+    if cosets._free_letter_gens(group, sub):
+        assert fold_orbits(dec) == fold_orbits(walked)
+    else:
+        assert len(fold_orbits(walked)) == len(walked) == 416
+        assert fold_orbits(dec) == brute_fold_orbits(dec)
+        assert len(fold_orbits(dec)) == 38
 
-    def decomposition():
-        group, sub = YOUNG_PAIRS[name]()
-        return [[getattr(dc, f) for f in fields]
-                for dc in double_cosets(group, sub)]
 
-    assert YOUNG_PAIRS[name]()[1].young_shape()[1] == ()
-    placed = decomposition()
-    monkeypatch.setattr(PermGroup, "young_shape", lambda self: None)
-    monkeypatch.setattr(cosets, "_BlockCounts", None)
-    assert decomposition() == placed
+def young_pairs():
+    """(G, H) with H from young_groups(), signed ones included, fixing some
+    more letters up to degree 7, and G either S_n or the Young group of a
+    partition into unions of H's orbits and fixed letters."""
+    @st.composite
+    def build(draw):
+        gens, n, _ = draw(young_groups())
+        assume(n <= 7)
+        n_fixed = draw(st.integers(0, 7 - n))
+        sub = embedded(PermGroup(n, gens), n + n_fixed)
+        n += n_fixed
+        parts = [list(o) for o in sub.young_shape()[0]]
+        seen = {p for o in parts for p in o}
+        parts += [[p] for p in range(n) if p not in seen]
+        if draw(st.booleans()):
+            return sym(n), sub
+        labels = draw(st.lists(st.integers(0, 2), min_size=len(parts),
+                               max_size=len(parts)))
+        gens = []
+        for k in set(labels):
+            union = sorted(p for part, c in zip(parts, labels) if c == k
+                           for p in part)
+            gens += [Permutation._from_raw(_swaps([(union[0], p)], n))
+                     for p in union[1:]]
+        return PermGroup(n, gens), sub
+    return build()
+
+
+@settings(max_examples=30, deadline=None)
+@given(young_pairs())
+@example((sym(7), tilde_sym(5, degree=7)))
+@example((PermGroup(7, [P("(1,2,3,4)", 7), P("(1,2)", 7), P("(5,6,7)", 7),
+                        P("(5,6)", 7)]), tilde_sym(4, degree=7)))
+@example((PermGroup(7, [P("(1,2,3,4,5)", 7), P("(1,2)", 7), P("(6,7)", 7)]),
+          alt_embed(3, 7)))
+# a signed orbit and an unsigned one whose letters interleave: some folds
+# need the parity correction of _BlockCounts.conjugator
+@example((sym(7), PermGroup(7, young_case([[1, 3, 5], [0, 4]], [0], 7)[0])))
+def test_listing_matches_brute_force_and_the_walk(pair):
+    # each rep is min(HyH) by brute force over S_n, the reps are those of
+    # the double cosets meeting G, n_left, self_inverse and S(rep) agree
+    # with the walk, the roots are the orbits of all of U and every conj is
+    # valid, as in test_fold_roots_are_the_orbits_under_the_free_letters
+    group, sub = pair
+    n = group.degree
+    dec = double_cosets(group, sub)
+    least = brute_double_coset_ids(n, [g._img for g in sub.generators])
+    assert [dc.rep._img for dc in dec] == \
+        sorted({least[y] for y in group.element_tuples()})
+    assert all(least[dc.rep._img] == dc.rep._img for dc in dec)
+    assert_listing_matches_the_walk(dec, walk_of(group, sub))
+    assert fold_orbits(dec) == brute_fold_orbits(dec)
+    for dc in dec:
+        root = dec.cosets[dc.root]
+        assert (dc.n_left, dc.self_inverse) == (root.n_left, root.self_inverse)
+    assert_orbit_stabilizers(dec)
 
 
 def test_double_coset_reps_are_minimal_and_sorted():
