@@ -13,8 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .chartab import character_table, conjugacy_classes, induce, nu_classical
-from .cosets import (_coset_index, is_null_coset, normal_form_census,
-                     stabilizer, sym_census)
+from .cosets import is_null_coset, normal_form_census, stabilizer, sym_census
 from .indicators import (_census_indicators, _nu_m_census, _nu_m_row,
                          _twisted_counts, category_scan)
 from .perm import (
@@ -112,10 +111,9 @@ _STATED_CENSUS = {(3, 6): (34, 20), (4, 8): (197, 154)}
 def _check_census(l: int, n: int):
     if not 1 <= l <= n:
         raise ValueError("need 1 <= l <= n")
-    # the index bound first, as the orbit route (sym_census) alone would
-    # report it; then the relabeling route, so the enumeration bound trips
-    # before the double cosets are listed
-    _coset_index(sym(n), sym_embed(l, n))
+    # both routes list at most the [S_n : Sym{1..l}] left cosets, never S_n,
+    # and check the index bound before they list anything, so an oversized
+    # instance trips the index bound and no enumeration bound
     relabeled = normal_form_census(l, n)
     computed = sym_census(l, n)
     if computed != relabeled:

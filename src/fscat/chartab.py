@@ -1,4 +1,4 @@
-"""Exact character tables of permutation groups, by one of two routes.
+"""Exact character tables of permutation groups, by one of three routes.
 
 Young and signed-Young groups.  Let O_1, ..., O_J be the orbits (of two or
 more points) of a group S, and Y = Sym(O_1) x ... x Sym(O_J) their Young
@@ -8,7 +8,8 @@ and so is the kernel K of eps_I(y) = prod_{j in I} sgn(y on O_j) for one
 nonempty set I of orbits: the one nonzero vector of F_2^J orthogonal to the
 orbit-sign vector of every generator.  PermGroup.young_shape recognises
 both, from the chain and the generators only.  Every other group goes to
-Dixon's method below.
+character extension when its generators commute, and to Dixon's method
+otherwise.
 
 Classes.  A class of Y is a tuple of partitions mu = (mu_j), the cycle types
 on the orbits, of size prod |O_j|!/z_{mu_j}.  K holds the classes with
@@ -76,6 +77,17 @@ YoungClasses.square_census checks that w maps orbits onto orbits, that tau
 fixes I and that w^2 lies in S, and raises ValueError otherwise; ClassData
 checks that w normalizes S with w^2 in S and lists the coset.
 
+Abelian groups.  Each element is a class, and every character takes values
+in the e-th roots of unity, e = exp(A), the lcm of the generators' orders.
+Along A_i = <g_1, ..., g_i>, let d_i be the least d with g_i^d in A_{i-1}.
+Every element of A_i is y * g_i^j for one y in A_{i-1} and one j < d_i, and
+a character of A_{i-1} extends to A_i in exactly d_i ways: chi(g_i) is any
+root of chi(g_i)^d_i = chi(g_i^d_i).  Writing chi(g_t) = zeta_e^k_t, the
+roots are k_i = L/d_i + t*e/d_i for t < d_i, where zeta_e^L = chi(g_i^d_i);
+d_i divides L because g_i^d_i has order dividing e/d_i.  Then chi(x) =
+zeta_e^(sum a_t k_t) for x = prod g_t^a_t.  The group is listed once, with
+each element's exponents a_t; no class matrix is built.
+
 Dixon's method.  The class BFS (ClassData) lists every class, and the
 class-sum algebra acts on itself through integer class matrices.  Their
 common eigenvectors over a prime field F_p (p = 1 mod exp(G), p large
@@ -88,11 +100,12 @@ left by the ones before, until all spaces are one-dimensional.  The matrix
 of class C costs |C| * r products for r classes, and the split often ends
 after a few small classes (two of the 22 for S_8).  It is deterministic.
 
-Both routes check the degree sum and the orthonormality of every pair of
-rows, and sort the rows by degree, then by values.  Both refuse a table
-of r^2 entries over the enumeration bound, and each refuses to list more
-than it allows: the class BFS group elements, the partition route its r
-columns, counted before any is listed.
+Every route checks the degree sum and the orthonormality of every pair of
+rows, and sorts the rows by degree, then by values.  Each refuses a table
+of r^2 entries over the enumeration bound, and refuses to list more than it
+allows: the class BFS group elements, the partition route its r columns,
+counted before any is listed.  The orthonormality of an irrational pair is
+read off inner_product, which sums in one cyclotomic field.
 
 The map from elements to classes is private to this module.  Other modules
 read it through the class object: index_of for one raw element, census for
@@ -108,8 +121,10 @@ from fractions import Fraction
 from itertools import product
 
 from . import config
-from .cyclo import ZERO, Cyclotomic, _prime_factors
-from .perm import BoundExceeded, Permutation, PermGroup, _inv, _mul, _parity
+from .cyclo import (ZERO, Cyclotomic, _normalized, _prime_factors,
+                    _reduce_ints)
+from .perm import (BoundExceeded, Permutation, PermGroup, _identity, _inv,
+                   _mul, _parity)
 
 
 # -- conjugacy classes ------------------------------------------------------
@@ -469,7 +484,7 @@ def _as_cyclo(v) -> Cyclotomic:
 class Character:
     """A class function given by its values on the classes of a class object."""
 
-    __slots__ = ("classes", "values")
+    __slots__ = ("classes", "values", "_sparse")
 
     def __init__(self, classes, values):
         vals = tuple(_as_cyclo(v) for v in values)
@@ -477,6 +492,8 @@ class Character:
             raise ValueError("one value per conjugacy class required")
         self.classes = classes
         self.values = vals
+        # inner_product's lift of the values, built on first use
+        self._sparse = None
 
     @property
     def degree(self) -> int:
@@ -515,15 +532,43 @@ class Character:
         return f"Character([{shown}])"
 
 
+def _sparse(chi: Character) -> list:
+    """chi's values as (conductor, denominator, nonzero (exponent,
+    numerator) pairs): sparse polynomials in the zeta of each value's own
+    field, built once per character."""
+    if chi._sparse is None:
+        chi._sparse = [(v.n, v.den, [(j, c) for j, c in enumerate(v.num) if c])
+                       for v in chi.values]
+    return chi._sparse
+
+
 def inner_product(a: Character, b: Character) -> Cyclotomic:
-    """Hermitian inner product (1/|G|) sum chi(g) conj(psi(g))."""
+    """Hermitian inner product (1/|G|) sum chi(g) conj(psi(g)), summed in
+    one field.
+
+    Every value is lifted to the lcm N of the conductors, zeta_n^j becoming
+    z^(j N/n) with z = zeta_N, and the terms h * x * conj(y) are summed as
+    integer vectors over one denominator in Z[z]/(z^N - 1), where conj sends
+    z^i to z^-i.  The total is reduced modulo the N-th cyclotomic polynomial
+    and normalized once, so it is the canonical value that summing
+    Cyclotomic terms gives.
+    """
     if a.classes is not b.classes:
         raise ValueError("characters live on different class data")
-    cd = a.classes
-    total = ZERO
-    for h, x, y in zip(cd.sizes, a.values, b.values):
-        total = total + (x * y.conj()).scaled(h)
-    return total.scaled(Fraction(1, cd.group.order()))
+    xs, ys = _sparse(a), _sparse(b)
+    big = math.lcm(*(t[0] for t in xs), *(t[0] for t in ys))
+    den = math.lcm(*(x[1] * y[1] for x, y in zip(xs, ys)))
+    acc = [0] * big
+    for h, (nx, dx, px), (ny, dy, py) in zip(a.classes.sizes, xs, ys):
+        f = h * den // (dx * dy)
+        sx, sy = big // nx, big // ny
+        for i, c in px:
+            i, c = i * sx, c * f
+            for j, d in py:
+                acc[(i - j * sy) % big] += c * d
+    order = a.classes.group.order()
+    return Cyclotomic._raw(*_normalized(big, _reduce_ints(big, acc),
+                                        den * order))
 
 
 def induce(chi: Character, overgroup: PermGroup) -> Character:
@@ -570,16 +615,23 @@ class CharacterTable:
 
 def character_table(group: PermGroup) -> CharacterTable:
     """Exact character table, built once per group object: read off
-    partitions for a Young or signed-Young group, by Dixon's method
+    partitions for a Young or signed-Young group, by character extension
+    for any other group whose generators commute, by Dixon's method
     otherwise.  A table of more than config.ENUMERATION_BOUND entries
-    raises BoundExceeded before it is built."""
+    raises BoundExceeded before any route runs."""
     if group._char_table is None:
         cd = conjugacy_classes(group)
         limit = config.ENUMERATION_BOUND
         if len(cd) ** 2 > limit:
             raise BoundExceeded("enumeration bound", limit, len(cd) ** 2)
-        group._char_table = (_young_table(cd) if isinstance(cd, YoungClasses)
-                             else _dixon(cd))
+        gens = [g._img for g in group.generators]
+        if isinstance(cd, YoungClasses):
+            group._char_table = _young_table(cd)
+        elif all(_mul(a, b) == _mul(b, a)
+                 for i, a in enumerate(gens) for b in gens[:i]):
+            group._char_table = _abelian_table(cd)
+        else:
+            group._char_table = _dixon(cd)
     return group._char_table
 
 
@@ -710,6 +762,48 @@ def _young_table(cd: YoungClasses) -> CharacterTable:
                 row.append(Cyclotomic.from_exponents(d, terms))
             chars.append(Character(cd, row))
     assert len(chars) == len(cd)
+    return _finish(cd, chars)
+
+
+# -- abelian groups by character extension -----------------------------------
+
+
+def _abelian_table(cd) -> CharacterTable:
+    """The table of an abelian group, whose classes are its elements, by
+    extending characters along the generators (see the module docstring)."""
+    group = cd.group
+    gens = group.generators
+    e = math.lcm(*(g.order for g in gens))
+    # words: element -> its exponents over g_1..g_i; logs: one k per
+    # character of A_i, with chi(g_t) = zeta_e^k_t
+    words = {_identity(group.degree): ()}
+    logs = [()]
+    for g in (g._img for g in gens):
+        power, d = g, 1
+        while power not in words:
+            power, d = _mul(power, g), d + 1
+        below = words[power]
+        grown = {}
+        for x, word in words.items():
+            y = x
+            for j in range(d):
+                grown[y] = word + (j,)
+                y = _mul(y, g)
+        words = grown
+        # chi(g_i)^d = chi(g_i^d) = zeta_e^L, and zeta_e^L has order
+        # dividing e/d, so d divides L and the d roots are zeta_e^(L/d) times
+        # the powers of zeta_e^(e/d)
+        grown_logs = []
+        for k in logs:
+            root = sum(a * b for a, b in zip(below, k)) % e // d
+            grown_logs += [k + (root + t * (e // d),) for t in range(d)]
+        logs = grown_logs
+    assert len(words) == group.order() == len(logs) == len(cd)
+    zetas = [Cyclotomic.from_exponents(e, {s: 1}) for s in range(e)]
+    reps = [words[rep._img] for rep in cd.reps]
+    chars = [Character(cd, [zetas[sum(a * b for a, b in zip(word, k)) % e]
+                            for word in reps])
+             for k in logs]
     return _finish(cd, chars)
 
 

@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from operator import add, le
 
 from . import config
@@ -919,9 +920,23 @@ def _canonical_form(img: tuple[int, ...], l: int) -> tuple[int, ...]:
 
 def normal_form_census(l: int, n: int) -> tuple[int, int]:
     """Census of Sym{1..l} double cosets in Sym{1..n} by distinct canonical
-    normal forms over the whole group; an independent route to sym_census."""
+    normal forms over the left cosets; an independent route to sym_census.
+
+    The normal form of g is the one element of g*Sym{1..l} with no two small
+    letters in a cycle, so it depends only on the left coset.  A left coset
+    is fixed by the images of the letters above l, and its member listed
+    here sends the small letters to the values left over, in increasing
+    order.  So the n!/l! cosets are listed as the arrangements of n - l of
+    the n values, with no stabilizer chain and no double coset; the index
+    bound is checked first, as sym_census checks it.
+    """
     if not 1 <= l <= n:
         raise ValueError("l out of range")
-    forms = {_canonical_form(raw, l) for raw in sym(n).element_tuples()}
+    _coset_index(sym(n), sym_embed(l, n))
+    forms = set()
+    for big in permutations(range(n), n - l):
+        used = set(big)
+        small = tuple(v for v in range(n) if v not in used)
+        forms.add(_canonical_form(small + big, l))
     null = sum(1 for f in forms if any(f[f[i]] != i for i in range(n)))
     return len(forms), null

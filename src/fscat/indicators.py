@@ -18,7 +18,8 @@ implemented here and cross-checked in the test suite:
   * nu2_extension  uses an extension of chi to that overgroup.
 
 _twisted_counts gives the class census of the twisted sum chi(x * u x u^-1)
-over S, from which _census_indicators reads every twisted indicator at once.
+over S for an involution u, read as the square census of the coset uS, from
+which _census_indicators reads every twisted indicator at once.
 
 category_scan visits every double coset and reports one row per simple
 object.  For m = 2 double_cosets has already decided vanishing: a
@@ -259,23 +260,23 @@ def nu2_extension(g: Permutation, chi: Character, sub: PermGroup) -> int:
 def _twisted_counts(cd: ClassData | YoungClasses, u: Permutation) -> list[int]:
     """Class census of x * u x u^-1 for x over the group behind cd.
 
-    u must normalize that group with u^2 centralizing it.  One census serves
-    every character of the group: _census_indicators reads the twisted
-    indicators, the averages of chi(x * u x u^-1), off it (catalog's
-    lemma-twisted-An).  With u centralizing the group they are the classical
-    degree-2 indicators.
+    u must normalize that group, and u^2 must be the identity (else
+    ValueError).  Then x u x u^-1 = (x u)^2 = x (u x)^2 x^-1 is conjugate in
+    the group to (u x)^2, so the census is that of the squares of the coset
+    uS, which square_census reads off cycle types for a Young or
+    signed-Young group (A_n is one); the group is not listed.  One census
+    serves every character: _census_indicators reads the twisted indicators,
+    the averages of chi(x * u x u^-1), off it (catalog's lemma-twisted-An).
+    With u = e they are the classical degree-2 indicators.
     """
-    members = cd.group.element_set()
     u_raw = u._img
-    uu = _mul(u_raw, u_raw)
     for s in cd.group.generators:
-        if _conj(u_raw, s._img) not in members:
+        if cd.index_of(_conj(u_raw, s._img)) is None:
             raise ValueError("u must normalize the group of chi")
-        if _conj(uu, s._img) != s._img:
-            raise ValueError("u^2 must centralize the group of chi")
-    u_inv = _inv(u_raw)
-    return cd.census(_mul(x, _mul(_mul(u_raw, x), u_inv))
-                     for x in cd.group.element_tuples())
+    if _mul(u_raw, u_raw) != _identity(len(u_raw)):
+        raise ValueError("u^2 must be the identity, which centralizes the "
+                         "group of chi")
+    return cd.square_census(u_raw)
 
 
 @dataclass(frozen=True)

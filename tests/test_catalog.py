@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from fscat import cosets
+from fscat import chartab, cosets
 from fscat.catalog import _EXAMPLES, claim_ids, run_all, verify
 from fscat.indicators import category_scan
 from fscat.perm import PermGroup, alt, tilde_sym
@@ -58,19 +58,19 @@ def test_oversized_instances_come_back_skipped():
     assert "index bound" in report.detail
 
 
-def test_census_skips_on_the_enumeration_bound_before_the_coset_walk(
-        monkeypatch):
-    # the index of Sym{1..5} in S_10 is within the bound, S_10 is not;
-    # sym_census lists the double cosets from block counts, so neither
-    # that listing nor an orbit walk may run
+def test_census_of_s10_lists_cosets_and_no_group(monkeypatch):
+    # the index of Sym{1..5} in S_10 is within the bound; the relabeling
+    # route lists its 30,240 left cosets and sym_census the block-count
+    # matrices, so neither S_10 nor any other group is listed or walked
     def no_walk(*args):
-        raise AssertionError("the coset walk ran")
+        raise AssertionError("a group was walked or listed")
 
     monkeypatch.setattr(cosets, "_coset_orbit", no_walk)
-    monkeypatch.setattr(cosets, "_listed", no_walk)
+    monkeypatch.setattr(PermGroup, "element_tuples", no_walk)
     report = verify("census", l=5, n=10)
-    assert report.status == "skipped"
-    assert "enumeration bound" in report.detail
+    assert report.status == "pass"
+    assert report.detail == ("both routes give (1546, 1404); no stated "
+                             "tally to compare against")
 
 
 def test_census_skips_on_the_index_bound_before_the_relabeling_route(
@@ -120,6 +120,16 @@ def test_quick_profile_all_pass():
     assert bad == []
     assert {"thm-Sl", "census", "thm-An", "thm-Al", "thm-Cn", "ex-nu-p",
             "thm-tilde", "lemma-twisted-An"} <= {r.claim for r in reports}
+
+
+def test_quick_profile_builds_no_table_by_dixon(monkeypatch):
+    # its tables come from partitions or, for the cyclic stabilizers of
+    # thm-Cn, by character extension
+    def no_dixon(*args):
+        raise AssertionError("Dixon's method ran")
+
+    monkeypatch.setattr(chartab, "_dixon", no_dixon)
+    assert [r.line() for r in run_all("quick") if not r.ok] == []
 
 
 @pytest.fixture(scope="module")

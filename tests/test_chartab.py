@@ -469,7 +469,7 @@ def test_young_and_signed_young_groups_match_the_bfs_and_dixon(case):
 def test_routes_of_the_stabilizers():
     # every distinct stabilizer of C(S11, tilde S8) has index 2 in its
     # Young subgroup; C(S8, C8)'s nontrivial ones and an index-two
-    # overgroup of S(g) fit neither shape and go to Dixon
+    # overgroup of S(g) fit neither shape and go to the class BFS
     from fscat.indicators import _stabilizer_classes
     from fscat.cosets import double_cosets
     from fscat.perm import sym_embed
@@ -498,7 +498,7 @@ def test_both_routes_refuse_the_same_bound(monkeypatch):
     assert (exc.value.bound_name, exc.value.limit, exc.value.needed) == (
         "enumeration bound", 100, 120)
     assert isinstance(conjugacy_classes(sym(5)), YoungClasses)
-    # 11 classes each: S_6 on the partition route, C_11 by Dixon
+    # 11 classes each: S_6 on the partition route, C_11 by extension
     for group in (sym(6), cyclic(11)):
         with pytest.raises(BoundExceeded) as exc:
             character_table(group)
@@ -658,3 +658,83 @@ def test_square_census_rejects_a_w_outside_the_normalizer():
         c4.square_census(P("(1,2)", 4)._img)
     with pytest.raises(ValueError, match=r"w\^2"):
         c4.square_census(P("(1,2,4,3)", 4)._img)
+
+
+# -- abelian tables by character extension -----------------------------------
+
+
+def _abelian_groups():
+    yield from (cyclic(k) for k in range(1, 13))
+    yield PermGroup(4, [P("(1,2)(3,4)"), P("(1,3)(2,4)")])
+    yield PermGroup(6, [P("(1,2)", 6), P("(3,4,5,6)", 6)])
+    yield PermGroup(6, [P("(1,2,3)", 6), P("(4,5,6)", 6)])
+    yield PermGroup(6, [P("(1,2)", 6), P("(3,4)", 6), P("(5,6)", 6)])
+
+
+@pytest.mark.parametrize("group", list(_abelian_groups()),
+                         ids=lambda g: " ".join(x.to_text() for x in g.generators))
+def test_abelian_route_matches_dixon(group):
+    # the extension along the generators against Dixon's method, row by
+    # row, both on a fresh class BFS of the group
+    got = chartab._abelian_table(ClassData(group)).characters
+    want = _dixon(ClassData(group)).characters
+    assert [chi.values for chi in got] == [chi.values for chi in want]
+
+
+def test_cyclic_tables_do_not_run_dixon(monkeypatch):
+    def no_dixon(*args):
+        raise AssertionError("Dixon's method ran")
+
+    monkeypatch.setattr(chartab, "_dixon", no_dixon)
+    table = character_table(cyclic(7))
+    assert len(table.characters) == 7
+    assert {chi.values[1] for chi in table.characters} == {
+        z(7, k) for k in range(7)}
+
+
+def test_dixon_builds_the_table_of_a_nonabelian_group(monkeypatch):
+    # D4 on four points fits no Young shape and its generators do not
+    # commute, so it is the one route left
+    calls = []
+    dixon = chartab._dixon
+
+    def counting(cd):
+        calls.append(cd)
+        return dixon(cd)
+
+    monkeypatch.setattr(chartab, "_dixon", counting)
+    d4 = PermGroup(4, [P("(1,2,3,4)"), P("(1,3)", 4)])
+    table = character_table(d4)
+    assert len(calls) == 1
+    assert [chi.degree for chi in table.characters] == [1, 1, 1, 1, 2]
+    assert all(nu_classical(chi) == 1 for chi in table.characters)
+
+
+def _inner_product_by_terms(a, b):
+    """The old per-term sum: one canonical Cyclotomic per class."""
+    total = ZERO
+    for h, x, y in zip(a.classes.sizes, a.values, b.values):
+        total = total + (x * y.conj()).scaled(h)
+    return total.scaled(Fraction(1, a.classes.group.order()))
+
+
+QUATERNION = lambda: PermGroup(8, [P("(1,3,2,4)(5,7,6,8)"),  # noqa: E731
+                                   P("(1,5,2,6)(3,8,4,7)")])
+
+
+@pytest.mark.parametrize("build", [lambda: alt(5), lambda: alt(6),
+                                   lambda: alt(7), lambda: cyclic(5),
+                                   lambda: cyclic(7), QUATERNION],
+                         ids=["A5", "A6", "A7", "C5", "C7", "Q8"])
+def test_inner_product_in_one_field_matches_the_per_term_sum(build):
+    chars = character_table(build()).characters
+    for a in chars:
+        for b in chars:
+            assert inner_product(a, b) == _inner_product_by_terms(a, b)
+    # a class function that is no character, with values in two fields
+    a = chars[-1]
+    mixed = Character(a.classes, [v * z(4) + Fraction(1, 3)
+                                  for v in a.values])
+    for b in chars:
+        for x, y in ((mixed, b), (b, mixed), (mixed, mixed)):
+            assert inner_product(x, y) == _inner_product_by_terms(x, y)

@@ -1,6 +1,7 @@
 """Coset decompositions, stabilizers, and the double coset census."""
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 from unittest.mock import patch
@@ -800,11 +801,28 @@ def test_census_stability_for_large_subgroup():
     assert sym_census(2, 4) == sym_census(3, 5) == sym_census(4, 6)
 
 
-def test_normal_form_census_agrees_with_orbit_route():
-    for n in range(2, 8):
-        for l in range(1, n):
+def test_normal_form_census_agrees_with_orbit_route(monkeypatch):
+    # neither route lists a whole group: the relabeling route lists the
+    # left cosets, the orbit route the block-count matrices
+    def no_listing(self):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(PermGroup, "element_tuples", no_listing)
+    for n in range(1, 9):
+        for l in range(1, n + 1):
             assert normal_form_census(l, n) == sym_census(l, n)
-    assert normal_form_census(4, 8) == sym_census(4, 8)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_canonical_form_depends_only_on_the_left_coset(n):
+    # g*h, h in Sym{1..l}, keeps g's images of the letters above l and
+    # permutes the rest, so (that set, those images) names the left coset
+    for l in range(1, n + 1):
+        forms = {}
+        for raw in sym(n).element_tuples():
+            form = _canonical_form(raw, l)
+            assert forms.setdefault((frozenset(raw[:l]), raw[l:]), form) == form
+        assert len(forms) == math.factorial(n) // math.factorial(l)
 
 
 @st.composite

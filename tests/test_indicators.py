@@ -258,6 +258,25 @@ def test_twisted_indicator_guards():
         indicators._twisted_counts(cd, P("(3,4)", 5))
     with pytest.raises(ValueError, match="centralize"):
         indicators._twisted_counts(cd, P("(1,2,3)", 5))
+    # u^2 may centralize the group without being the identity
+    cd = chartab.conjugacy_classes(sym_embed(3, 7))
+    with pytest.raises(ValueError, match="identity"):
+        indicators._twisted_counts(cd, P("(4,5,6,7)", 7))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_twisted_census_from_cycle_types_matches_the_listed_census(n):
+    # x u x u^-1 = (x u)^2 is conjugate in A_n to (u x)^2, so the census
+    # is square_census's; listing the twists over A_n is the oracle
+    group = alt(n)
+    cd = chartab.conjugacy_classes(group)
+    odd_involutions = [u for u in chartab.conjugacy_classes(sym(n)).reps
+                       if u.sign == -1 and (u * u).is_identity()]
+    assert odd_involutions
+    for u in odd_involutions:
+        listed = cd.census(perm._mul(x, perm._conj(u._img, x))
+                           for x in group.element_tuples())
+        assert indicators._twisted_counts(cd, u) == listed
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
