@@ -790,9 +790,7 @@ def _abelian_table(cd) -> CharacterTable:
                 grown[y] = word + (j,)
                 y = _mul(y, g)
         words = grown
-        # chi(g_i)^d = chi(g_i^d) = zeta_e^L, and zeta_e^L has order
-        # dividing e/d, so d divides L and the d roots are zeta_e^(L/d) times
-        # the powers of zeta_e^(e/d)
+        # the d roots of chi(g_i)^d = chi(g_i^d) = zeta_e^L; d divides L
         grown_logs = []
         for k in logs:
             root = sum(a * b for a, b in zip(below, k)) % e // d
@@ -800,9 +798,9 @@ def _abelian_table(cd) -> CharacterTable:
         logs = grown_logs
     assert len(words) == group.order() == len(logs) == len(cd)
     zetas = [Cyclotomic.from_exponents(e, {s: 1}) for s in range(e)]
-    reps = [words[rep._img] for rep in cd.reps]
+    rep_words = [words[rep._img] for rep in cd.reps]
     chars = [Character(cd, [zetas[sum(a * b for a, b in zip(word, k)) % e]
-                            for word in reps])
+                            for word in rep_words])
              for k in logs]
     return _finish(cd, chars)
 
