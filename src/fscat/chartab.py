@@ -532,7 +532,7 @@ class Character:
         return f"Character([{shown}])"
 
 
-def _sparse(chi: Character) -> list:
+def _lifted(chi: Character) -> list:
     """chi's values as (conductor, denominator, nonzero (exponent,
     numerator) pairs): sparse polynomials in the zeta of each value's own
     field, built once per character."""
@@ -555,7 +555,7 @@ def inner_product(a: Character, b: Character) -> Cyclotomic:
     """
     if a.classes is not b.classes:
         raise ValueError("characters live on different class data")
-    xs, ys = _sparse(a), _sparse(b)
+    xs, ys = _lifted(a), _lifted(b)
     big = math.lcm(*(t[0] for t in xs), *(t[0] for t in ys))
     den = math.lcm(*(x[1] * y[1] for x, y in zip(xs, ys)))
     acc = [0] * big

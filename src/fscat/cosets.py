@@ -927,8 +927,8 @@ def normal_form_census(l: int, n: int) -> tuple[int, int]:
     is fixed by the images of the letters above l, and its member listed
     here sends the small letters to the values left over, in increasing
     order.  So the n!/l! cosets are listed as the arrangements of n - l of
-    the n values, with no stabilizer chain and no double coset; the index
-    bound is checked first, as sym_census checks it.
+    the n values, with no group element listed and no double coset; the
+    index bound is checked first, as sym_census checks it.
     """
     if not 1 <= l <= n:
         raise ValueError("l out of range")

@@ -263,8 +263,8 @@ def _twisted_counts(cd: ClassData | YoungClasses, u: Permutation) -> list[int]:
     u must normalize that group, and u^2 must be the identity (else
     ValueError).  Then x u x u^-1 = (x u)^2 = x (u x)^2 x^-1 is conjugate in
     the group to (u x)^2, so the census is that of the squares of the coset
-    uS, which square_census reads off cycle types for a Young or
-    signed-Young group (A_n is one); the group is not listed.  One census
+    uS: square_census reads it off cycle types, with no element listed, when
+    the group is Young or signed Young, as A_n is.  One census
     serves every character: _census_indicators reads the twisted indicators,
     the averages of chi(x * u x u^-1), off it (catalog's lemma-twisted-An).
     With u = e they are the classical degree-2 indicators.

@@ -718,13 +718,13 @@ def _inner_product_by_terms(a, b):
     return total.scaled(Fraction(1, a.classes.group.order()))
 
 
-QUATERNION = lambda: PermGroup(8, [P("(1,3,2,4)(5,7,6,8)"),  # noqa: E731
-                                   P("(1,5,2,6)(3,8,4,7)")])
+def _quaternion():
+    return PermGroup(8, [P("(1,3,2,4)(5,7,6,8)"), P("(1,5,2,6)(3,8,4,7)")])
 
 
 @pytest.mark.parametrize("build", [lambda: alt(5), lambda: alt(6),
                                    lambda: alt(7), lambda: cyclic(5),
-                                   lambda: cyclic(7), QUATERNION],
+                                   lambda: cyclic(7), _quaternion],
                          ids=["A5", "A6", "A7", "C5", "C7", "Q8"])
 def test_inner_product_in_one_field_matches_the_per_term_sum(build):
     chars = character_table(build()).characters
