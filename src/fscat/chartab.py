@@ -576,19 +576,22 @@ def induce(chi: Character, overgroup: PermGroup) -> Character:
 
     A subgroup of index 2 is normal, so any g outside it gives
     Ind chi(y) = chi(y) + chi(g^-1 y g) on y inside and 0 outside; g is the
-    first generator of the overgroup outside the subgroup.
+    first generator of the overgroup outside the subgroup.  Membership is
+    read off the subgroup's classes (index_of), so induce lists no group.
     """
-    sub = chi.classes.group
+    cd = chi.classes
+    sub = cd.group
     if overgroup.order() != 2 * sub.order() or not sub.is_subgroup_of(overgroup):
         raise ValueError("induction needs the subgroup at index 2 in the overgroup")
-    inside = sub.element_set()
-    g_raw = next(t._img for t in overgroup.generators if t._img not in inside)
+    g_raw = next(t._img for t in overgroup.generators
+                 if cd.index_of(t._img) is None)
     gi = Permutation._from_raw(_inv(g_raw))
     g = Permutation._from_raw(g_raw)
     big_cd = conjugacy_classes(overgroup)
 
     def dot(p: Permutation) -> Cyclotomic:
-        return chi.value(p) if p._img in inside else ZERO
+        j = cd.index_of(p._img)
+        return ZERO if j is None else chi.values[j]
 
     vals = [dot(y) + dot(gi * y * g) for y in big_cd.reps]
     return Character(big_cd, tuple(vals))

@@ -5,21 +5,26 @@ contain.  Double cosets H\\G/H are the orbits of H acting on those canonical
 representatives by left multiplication; the stored representative is the least
 element of the double coset.  double_cosets finds them by one of two routes.
 
-Listing, when H has a Young shape (the Young group of its orbits, or the
-kernel of a product of orbit signs in it, PermGroup.young_shape) and G is
-the Young group of its own orbits, as S_n is.  Take as blocks H's orbits and
-each letter H fixes alone: HyH and HzH of the Young group Y of H's orbits
-are equal exactly when y and z send the same number of letters of each
-block i into each block j (the block-count matrix; James and Kerber, The
-Representation Theory of the Symmetric Group, 1.3), and when H has index 2
-in Y, each such double coset splits into at most four of H, told apart by
-orbit signs.  _BlockCounts lists the matrices and reads off each double
-coset's least element, its stabilizer S(rep) = H & rep*H*rep^-1 and
+Listing, when H and G both have a Young shape (the Young group of their
+orbits, or the kernel of a product of orbit signs in it,
+PermGroup.young_shape), as Sym{1..l} in S_n and Alt{1..l} in A_n do.  Take
+as blocks H's orbits and each letter H fixes and G moves, alone: HyH and
+HzH of the Young group Y of H's orbits are equal exactly when y and z send
+the same number of letters of each block i into each block j (the
+block-count matrix; James and Kerber, The Representation Theory of the
+Symmetric Group, 1.3), and when H has index 2 in Y, each such double coset
+splits into at most four of H, told apart by orbit signs.  _BlockCounts
+lists the matrices of the Young group Y_G of G's orbits and reads off each
+double coset's least element, its stabilizer S(rep) = H & rep*H*rep^-1 and
 whether it is self-inverse, one step per double coset: no left coset is
-walked or listed.
+walked or listed.  When G has index 2 in Y_G, as A_n has in S_n, G is
+normal in Y_G and holds H, so each H-double coset of Y_G lies wholly inside
+G or wholly outside it, and those whose rep lies in G are kept.
 
-The orbit walk, for every other pair.  The orbit of H on the canonical left
-cosets of one double coset yields S(rep).  It has order |H| / |orbit|
+The orbit walk, for every other pair.  The canonical left cosets are taken
+in increasing order, and each one not yet placed is the least element of
+its double coset, so it is the rep.  The orbit of H on the canonical left
+cosets of that double coset yields S(rep).  It has order |H| / |orbit|
 (orbit-stabilizer theorem), and the Schreier generators of the walk's
 closing edges generate it (Schreier's lemma; Seress, Permutation Group
 Algorithms, ch. 4).  So each double coset carries generators of S(rep)
@@ -35,35 +40,16 @@ lies in H; conversely, if (rep*x)^2 = h lies in H, then
 rep^-1 = x*rep*(x*h^-1).  So on a double coset that is not self-inverse
 every degree-2 indicator vanishes.
 
-Double cosets repeat along the letters sub fixes.  Any k normalizing sub
-maps H*g*H to H*kgk^-1*H, and S(kgk^-1) = k*S(g)*k^-1, since
+Double cosets repeat along the letters H fixes.  Any k normalizing H maps
+H*g*H to H*kgk^-1*H, and S(kgk^-1) = k*S(g)*k^-1, since
 H & kgk^-1*H*kg^-1k^-1 = k*(H & gHg^-1)*k^-1.  The indicators move along:
 substituting x -> k*x*k^-1 in the defining sum gives
-nu_m(kgk^-1, chi) = nu_m(g, chi o (z -> k*z*k^-1)).  Every permutation of
-the letters sub fixes centralizes sub, so U = Sym(Fix sub) & group supplies
-such k for free.  Each double coset records the root of its orbit under U
+nu_m(kgk^-1, chi) = nu_m(g, chi o (z -> k*z*k^-1)), for any k normalizing
+H, in G or not.  Each k in U = Sym(Fix H) & Y_G centralizes H, and Y_G
+normalizes G, so kgk^-1 stays in G; when G = A_n, U has odd elements.  The
+listing records the root of each orbit under U, its least double coset,
 and a k (DoubleCoset.root, DoubleCoset.conj), from which
-indicators.category_scan moves the root's rows.  The listing takes the
-least double coset of each orbit as its root, and moves the root's
-stabilizer to the others.  The walk walks and sifts only one root per orbit:
-each other double coset of the orbit has the root's left cosets mapped
-through c -> k*c*k^-1, since k*h*c*H*k^-1 = (k*h*k^-1)*(k*c*k^-1)*H.
-
-U also tells the walk where the roots are.  It centralizes H and meets it
-trivially, so K = H*U is a group, the direct product H x U.  A double coset
-K*g*K is the union of the H-double cosets a*(HgH)*b = a*(HgH*ba)*a^-1 over
-a, b in U: the U-conjugates of the right translates HgH*u = H*gu*H.  So the
-walk needs one seed per double coset of K, not a list of the [G:H] left
-cosets of H: the representative double_cosets gives for K, the least left
-coset of K in each orbit of K on its [G:K] left cosets.  That coset is
-canonical for H too, since its least element is least in its own left coset
-of H.  U moves every letter H fixes, so K fixes none, and the call on K
-takes every left coset of K as a seed, with nothing to fold.  From a seed,
-the folds close the H-double cosets found under conjugation by U, and right
-moves rep*u by U's generators close them under right translation, so
-together they reach every H-double coset in K*g*K.  On C(A9, Alt{1..5}) the
-call on K walks the 252 left cosets of K, not the 3,024 of H.  When U is
-trivial, K is H and every left coset of H is a seed.
+indicators.category_scan moves the root's rows.  The walk folds nothing.
 
 For a symmetric subgroup on an initial segment of letters, a rewriting by
 transpositions brings any coset representative to a form where no cycle
@@ -130,19 +116,17 @@ class DoubleCoset:
     stab_gens generate the stabilizer S(rep) = sub & rep*sub*rep^-1, as raw
     0-based image tuples.  A root's are read off the cells of its
     block-count matrix when the double coset was listed
-    (_BlockCounts.stab_gens), else they are Schreier generators recorded by
-    the orbit walk that found it, moved to rep; every other double coset has
-    the conjugates of its root's.
-    self_inverse tells whether rep^-1 lies in sub*rep*sub.  It holds exactly
-    when some element of rep*sub squares into sub: if rep^-1 = h1*rep*h2
-    then (rep*h1)^2 = h2^-1*h1, and if (rep*x)^2 = h then
-    rep^-1 = x*rep*(x*h^-1).
+    (_BlockCounts.stab_gens), else they are the Schreier generators of the
+    orbit walk from rep; every other double coset has the conjugates of its
+    root's.
+    self_inverse tells whether rep^-1 lies in sub*rep*sub, that is whether
+    some element of rep*sub squares into sub.
     root is the position, in the sorted list of double cosets, of the root
-    of this coset's orbit under the free letters, and conj is a raw k
-    normalizing sub with rep*sub = k*root*k^-1*sub.  Then
+    of this coset's orbit under U, and conj is a raw k normalizing sub, in
+    Y_G but not always in group, with rep*sub = k*root*k^-1*sub.  Then
     S(rep) = k*S(root)*k^-1, and every indicator of rep is an indicator of
-    the root, moved along conjugation by k.  A root has root equal to its own
-    position and conj the identity.
+    the root, moved along conjugation by k.  A root, and so every walked
+    double coset, has root equal to its own position and conj the identity.
     """
 
     rep: Permutation
@@ -168,16 +152,16 @@ class DoubleCosetDecomposition:
 
 
 def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
-                 ) -> tuple[list[tuple[int, ...]], dict,
+                 ) -> tuple[list[tuple[int, ...]],
                             tuple[tuple[int, ...], ...], bool]:
-    """The canonical left cosets in the sub-orbit of start*sub, a Schreier
-    transversal (trans[c] in sub carries start*sub to c*sub), raw generators
-    of the stabilizer S(start), and whether start^-1*sub lies in that orbit
-    (DoubleCoset.self_inverse).
+    """The canonical left cosets in the sub-orbit of start*sub, raw
+    generators of the stabilizer S(start), and whether start^-1*sub lies in
+    that orbit (DoubleCoset.self_inverse).
 
-    An edge c -> s*c of the walk that reaches a coset already seen gives the
-    Schreier generator trans[s*c]^-1 * s * trans[c], which fixes start*sub;
-    together these generate S(start).  Once the orbit is closed,
+    The walk keeps a Schreier transversal: trans[c] in sub carries start*sub
+    to c*sub.  An edge c -> s*c of the walk that reaches a coset already
+    seen gives the Schreier generator trans[s*c]^-1 * s * trans[c], which
+    fixes start*sub; together these generate S(start).  Once the orbit is closed,
     |S(start)| = |sub| / |orbit|, so they are sifted into a growing group
     only until it reaches that order.  The group is one stabilizer chain,
     which perm._extend grows in place by each generator that does not sift.
@@ -208,36 +192,13 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
             _extend(levels, x)
             order = math.prod(len(lv.orbit) for lv in levels)
     assert order == target
-    return orbit, trans, tuple(found), sub.coset_min(_inv(start)) in trans
-
-
-def _free_letter_gens(group: PermGroup, sub: PermGroup
-                      ) -> list[tuple[int, ...]]:
-    """Raw generators of U = Sym(Fix sub) & group, where Fix sub is the set
-    of letters sub fixes: those of Sym(Fix sub) when all lie in group, else
-    the 3-cycles of Alt(Fix sub) when those do, else none (U is taken to be
-    trivial).  Every element of U centralizes sub.
-    """
-    n = sub.degree
-    fixed = [p + 1 for p in range(n)
-             if all(g._img[p] == p for g in sub.generators)]
-    if len(fixed) < 2:
-        return []
-    sym_gens = [Permutation.from_cycles([fixed[:2]], n)]
-    if len(fixed) > 2:
-        sym_gens.append(Permutation.from_cycles([fixed], n))
-    alt_gens = [Permutation.from_cycles([fixed[:2] + [p]], n)
-                for p in fixed[2:]]
-    for gens in (sym_gens, alt_gens):
-        if gens and all(group.member(u) for u in gens):
-            return [u._img for u in gens]
-    return []
+    return orbit, tuple(found), sub.coset_min(_inv(start)) in trans
 
 
 class _BlockCounts:
-    """The double cosets of sub, a Young or signed-Young group, in group, the
-    Young group of its own orbits (S_n is one), read off block-count
-    matrices.
+    """The double cosets of sub, a Young or signed-Young group, in the
+    Young group Y_G of group's orbits, read off block-count matrices; group
+    is Y_G, as S_n is, or has index 2 in it, as A_n has.
 
     Matrices.  Let Y = prod Sym(O_j) be the Young group of sub's orbits, so
     sub = Y or sub = ker eps in Y, eps(y) the product of y's signs on the
@@ -253,8 +214,8 @@ class _BlockCounts:
     y*h2 reaches are those z reaches, all of j; the map y*h2(p) -> z(p) is a
     permutation of every block, some h1 in Y, and h1*y*h2 = z.  So YyY = YzY
     exactly when M(y) = M(z) (James and Kerber, The Representation Theory of
-    the Symmetric Group, 1.3).  group holds every permutation of each of its
-    orbits, so its Y-double cosets are named by the matrices with the block
+    the Symmetric Group, 1.3).  Y_G holds every permutation of each orbit of
+    group, so its Y-double cosets are named by the matrices with the block
     sizes as row and column sums whose nonzero cells join two blocks of one
     orbit of group.
 
@@ -310,7 +271,7 @@ class _BlockCounts:
         # eps reads the parity on the letters of the signed orbits
         self.odd = [p for j in signed for p in orbits[j]]
         self.rank = {p: r for r, p in enumerate(self.odd)}
-        # U = Sym(Fix sub) & group, the symmetric group on the letters sub
+        # U = Sym(Fix sub) & Y_G, the symmetric group on the letters sub
         # fixes in each orbit of group, by a transposition and a cycle per
         # orbit.  u maps block i onto a block pi(i), an orbit onto itself,
         # so M(u*y*u^-1)[pi(i)][pi(j)] = M(y)[i][j]: each u comes with the
@@ -610,9 +571,9 @@ _NO_SIGNS = frozenset({0})
 
 
 def _listed(group: PermGroup, sub: PermGroup) -> dict:
-    """The double cosets of a Young or signed-Young sub in a Young group, by
-    _BlockCounts: rep -> (n_left, stab_gens, self_inverse, root's rep,
-    conj).
+    """The double cosets of a Young or signed-Young sub in a Young or
+    signed-Young group, by _BlockCounts: rep -> (n_left, stab_gens,
+    self_inverse, root's rep, conj).
 
     Each matrix M, as it is listed, gives one double coset per class
     modulo I.  rep is its least element (least for the class 0 of z,
@@ -625,7 +586,9 @@ def _listed(group: PermGroup, sub: PermGroup) -> dict:
     double coset, and its stab_gens are read off its cells.  Every other
     double coset of the orbit has conj = h*u, with u*root*u^-1 in it and h
     in sub from conjugator, and the root's generators moved by conj, each
-    checked to fix rep*sub.
+    checked to fix rep*sub.  When group is signed, the double cosets of the
+    Young group of its orbits that lie outside it are dropped before the
+    roots are sought.
     """
     bc = _BlockCounts(group, sub)
     h_order = sub.order()
@@ -651,14 +614,20 @@ def _listed(group: PermGroup, sub: PermGroup) -> dict:
             where[key] = len(pieces)
             pieces.append((rep, n_left, inverse, key, span))
     idt = _identity(group.degree)
-    root = [-1] * len(pieces)
-    conj = [idt] * len(pieces)
-    order = sorted(range(len(pieces)), key=pieces.__getitem__)
+    # group is normal in the Young group of its orbits and holds sub, so
+    # each double coset listed lies in group or outside it, and so does its
+    # orbit under U; only those inside are kept
+    signed = bool(group.young_shape()[1])
+    order = sorted((i for i, piece in enumerate(pieces) if not signed
+                    or group.member(Permutation._from_raw(piece[0]))),
+                   key=pieces.__getitem__)
+    found = {}
     for r in order:
-        if root[r] >= 0:
+        rep_r, n_left, inverse, _, _ = pieces[r]
+        if rep_r in found:
             continue
-        root[r] = r
-        rep_r = pieces[r][0]
+        root_gens = bc.stab_gens(rep_r)
+        found[rep_r] = (n_left, root_gens, inverse, rep_r, idt)
         # (position, u) with u*root*u^-1 in the double coset there
         queue = [(r, idt)]
         for q, u_src in queue:
@@ -673,24 +642,16 @@ def _listed(group: PermGroup, sub: PermGroup) -> dict:
                     y = _mul(_mul(g, pieces[q][0]), _inv(g))
                     key[-1] = min(bc.cls(y, z) ^ x for x in span)
                 t = where[pack(key)]
-                if root[t] < 0:
+                rep, n_left, inverse, _, _ = pieces[t]
+                if rep not in found:
                     u = _mul(g, u_src)
                     moved = _mul(_mul(u, rep_r), _inv(u))
-                    root[t] = r
-                    conj[t] = _mul(bc.conjugator(moved, pieces[t][0]), u)
+                    k = _mul(bc.conjugator(moved, rep), u)
+                    k_inv = _inv(k)
+                    gens = tuple(_mul(_mul(k, x), k_inv) for x in root_gens)
+                    assert all(sub.coset_min(_mul(x, rep)) == rep for x in gens)
+                    found[rep] = (n_left, gens, inverse, rep_r, k)
                     queue.append((t, u))
-    found = {}
-    for i in order:
-        rep, n_left, inverse, _, _ = pieces[i]
-        rep_r = pieces[root[i]][0]
-        if root[i] == i:
-            gens = bc.stab_gens(rep)
-        else:
-            k = conj[i]
-            k_inv = _inv(k)
-            gens = tuple(_mul(_mul(k, x), k_inv) for x in found[rep_r][1])
-            assert all(sub.coset_min(_mul(x, rep)) == rep for x in gens)
-        found[rep] = (n_left, gens, inverse, rep_r, conj[i])
     return found
 
 
@@ -705,92 +666,26 @@ def _pack(degree: int):
 
 def _walked(group: PermGroup, sub: PermGroup) -> dict:
     """The double cosets of any sub by orbit walks of its left cosets:
-    rep -> (n_left, stab_gens, self_inverse, root's rep, conj).
+    rep -> (n_left, stab_gens, self_inverse, rep, identity).
 
-    The seeds are the representatives of double_cosets(group, K), with
-    K = sub x U, one least left coset of K per double coset K*g*K, or every
-    left coset of sub when U is trivial.  Each seed starts a work list of
-    candidate roots, canonical left cosets.  A candidate whose left coset is
-    already placed is skipped.  Otherwise its orbit walk sifts generators of
-    S(start) and decides self_inverse, and the orbit's least coset becomes
-    the root: t = trans[root] carries start to it, so
-    S(root) = t*S(start)*t^-1.  The root's images under the free-letter
-    generators u (and their images in turn) are folded: with k = u*k_src,
-    the double coset of k*root*k^-1, if not placed, is the root's orbit
-    mapped through c -> coset_min(k*c*k^-1), one coset_min per left coset,
-    its rep the least image, and it has the root's data conjugated by
-    conj = k*trans[c]*t^-1, where c is the left coset that maps to rep:
-    trans[c]*t^-1 carries root*sub to c*sub, and k carries c*sub to rep*sub.
-    Every double coset placed, root or folded, adds its right moves rep*u to
-    the work list.  A seed's work ends once every left coset of K*seed*K is
-    placed.
+    The canonical left cosets are taken in increasing order, and each one
+    not yet placed starts a walk that places its double coset.  The least
+    element of a double coset is the least canonical left coset in it, so
+    the coset that starts the walk is the rep, the walk gives S(rep) itself,
+    and every walked double coset is its own root.
     """
-    h_order = sub.order()
     gens = [g._img for g in sub.generators]
-    free = _free_letter_gens(group, sub)
     idt = _identity(group.degree)
-    if free:
-        hu = PermGroup(group.degree,
-                       [*sub.generators, *map(Permutation._from_raw, free)])
-        scale = hu.order() // h_order
-        seeds = [(dc.rep._img, dc.n_left * scale)
-                 for dc in double_cosets(group, hu).cosets]
-    else:
-        # K = sub: every left coset is a seed, and with nothing to fold or
-        # move, no seed's work needs a count
-        seeds = [(p._img, math.inf) for p in left_coset_reps(group, sub)]
     key = _pack(group.degree)
     placed: set = set()
     found: dict[tuple[int, ...], tuple] = {}
-    for seed, left in seeds:
-        # left: the left cosets of K*seed*K not yet placed; work: the seed,
-        # then the right moves (rep, u) of each double coset placed
-        work = [(seed, None)]
-        for y, right in work:
-            if left <= 0:
-                break
-            start = y if right is None else sub.coset_min(_mul(y, right))
-            if key(start) in placed:
-                continue
-            orbit, trans, stab_gens, self_inverse = _coset_orbit(start, sub,
-                                                                 gens)
-            placed.update(map(key, orbit))
-            left -= len(orbit)
-            root = min(orbit)
-            # t in sub carries start*sub to root*sub, so trans[c]*t^-1
-            # carries root*sub to c*sub and S(root) = t*S(start)*t^-1
-            t = trans[root]
-            t_inv = _inv(t)
-            stab_gens = tuple(_mul(_mul(t, x), t_inv) for x in stab_gens)
-            found[root] = (len(orbit), stab_gens, self_inverse, root, idt)
-            work += [(root, u) for u in free]
-            at_root = orbit.index(root)
-            queue = [idt]
-            for k_src in queue:
-                for u in free:
-                    if left <= 0:
-                        break
-                    k = _mul(u, k_src)
-                    k_inv = _inv(k)
-                    moved_root = sub.coset_min(_mul(_mul(k, root), k_inv))
-                    if key(moved_root) in placed:
-                        continue
-                    image = [moved_root if i == at_root
-                             else sub.coset_min(_mul(_mul(k, c), k_inv))
-                             for i, c in enumerate(orbit)]
-                    placed.update(map(key, image))
-                    rep = min(image)
-                    c = orbit[image.index(rep)]
-                    conj = _mul(k, _mul(trans[c], t_inv))
-                    conj_inv = _inv(conj)
-                    moved = tuple(_mul(_mul(conj, x), conj_inv)
-                                  for x in stab_gens)
-                    assert all(sub.coset_min(_mul(x, rep)) == rep
-                               for x in moved)
-                    left -= len(orbit)
-                    found[rep] = (len(orbit), moved, self_inverse, root, conj)
-                    queue.append(conj)
-                    work += [(rep, u) for u in free]
+    for p in left_coset_reps(group, sub):
+        rep = p._img
+        if key(rep) in placed:
+            continue
+        orbit, stab_gens, self_inverse = _coset_orbit(rep, sub, gens)
+        placed.update(map(key, orbit))
+        found[rep] = (len(orbit), stab_gens, self_inverse, rep, idt)
     return found
 
 
@@ -798,15 +693,16 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     """Double cosets of sub in group, sorted by canonical representative.
 
     The index [group : sub] is checked first, so a skip names that bound.
-    When sub has a Young shape, signed orbits included, and group is the
-    Young group of its own orbits (S_n is), the double cosets are listed
-    from block-count matrices (_BlockCounts, _listed), one step per double
-    coset and none per left coset.  Every other pair is walked (_walked).
+    When sub and group both have a Young shape, signed orbits included (as
+    Sym{1..l} in S_n and Alt{1..l} in A_n have), the double cosets are
+    listed from block-count matrices (_BlockCounts, _listed), one step per
+    double coset and none per left coset, and only there are they folded
+    along U.  Every other pair is walked (_walked), one walk per double
+    coset, each its own root.
     """
     _coset_index(group, sub)
     h_order = sub.order()
-    shape = group.young_shape()
-    if sub.young_shape() is not None and shape is not None and not shape[1]:
+    if sub.young_shape() is not None and group.young_shape() is not None:
         found = _listed(group, sub)
     else:
         found = _walked(group, sub)
@@ -835,7 +731,7 @@ def stabilizer(g: Permutation, sub: PermGroup) -> PermGroup:
         raise BoundExceeded("enumeration bound", config.ENUMERATION_BOUND,
                             sub.order())
     gens = [x._img for x in sub.generators]
-    stab_gens = _coset_orbit(sub.coset_min(g._img), sub, gens)[2]
+    stab_gens = _coset_orbit(sub.coset_min(g._img), sub, gens)[1]
     return PermGroup(sub.degree, [Permutation._from_raw(x) for x in stab_gens])
 
 

@@ -329,7 +329,8 @@ def test_extended_profile_adds_the_degree_eleven_tilde_scans(monkeypatch,
     assert extended == full + [("thm-tilde", {"n": 11}),
                                ("thm-tilde-plus1", {"n": 11})] + [
         ("thm-An", {"n": n}) for n in range(10, 15)] + [
-        ("thm-tilde", {"n": n}) for n in range(12, 19)]
+        ("thm-tilde", {"n": n}) for n in range(12, 19)] + [
+        ("lemma-twisted-An", {"n": n}) for n in range(9, 13)]
     assert main(["verify-all", "--profile", "extended", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == len(extended)
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 from unittest.mock import patch
 
@@ -116,13 +116,14 @@ def test_rejects_non_subgroup():
 
 def test_double_cosets_match_brute_partition():
     # Each block a*rep*b is a double coset; blocks with distinct least
-    # elements are disjoint, and sizes summing to |G| cover G.  The last two
-    # pairs fix letters, so their roots come from several double cosets of
-    # H x U, with U the permutations of those letters.
+    # elements are disjoint, and sizes summing to |G| cover G.  C4 in S7
+    # fixes three letters and is walked, so the walk is checked where it
+    # would have letters to fold along; Alt{1..5} in A9 is listed.
     for group, sub in [(sym(4), sym_embed(2, 4)), (sym(5), sym_embed(3, 5)),
                        (sym(5), sym_embed(2, 5)), (sym(5), cyclic(5)),
                        (sym(9), tilde_sym(7, degree=9)),
-                       (alt(9), alt_embed(5, 9))]:
+                       (alt(9), alt_embed(5, 9)),
+                       (sym(7), embedded(cyclic(4), 7))]:
         dec = double_cosets(group, sub)
         members = sub.element_tuples()
         for dc in dec:
@@ -167,27 +168,35 @@ def test_orbit_stabilizers_beyond_initial_symmetric_subgroups():
 FOLD_CASES = {
     "S8-Sym4": (lambda: (sym(8), sym_embed(4, 8)), (209, 20)),
     "S10-Sym7": (lambda: (sym(10), sym_embed(7, 10)), (34, 10)),
-    "A7-Alt4": (lambda: (alt(7), alt_embed(4, 7)), (35, 15)),
+    "A7-Alt4": (lambda: (alt(7), alt_embed(4, 7)), (35, 10)),
+    "A7-tildeS5": (lambda: (alt(7), tilde_sym(5, degree=7)), (80, 45)),
     "S7-tildeS5": (lambda: (sym(7), tilde_sym(5, degree=7)), (160, 90)),
     "S6-Sym2..5": (lambda: (sym(6), PermGroup(6, [P("(2,3)", 6),
                                                    P("(2,3,4,5)", 6)])),
                    (7, 5)),
     "S9-tildeS7": (lambda: (sym(9), tilde_sym(7, degree=9)), (136, 80)),
-    "A9-Alt5": (lambda: (alt(9), alt_embed(5, 9)), (210, 28)),
+    "A9-Alt5": (lambda: (alt(9), alt_embed(5, 9)), (210, 20)),
 }
 
 
 def free_letter_group(group, sub):
-    """All of U = Sym(Fix sub) & group, as raw tuples, by brute force."""
+    """All of U = Sym(Fix sub) & Y, Y the Young group of group's orbits, as
+    raw tuples, by brute force: the permutations of the letters sub fixes
+    that keep each letter in its orbit of group."""
     n = sub.degree
     fixed = [p for p in range(n)
              if all(x[p] == p for x in sub.element_tuples())]
+    orbit = []
+    for p in range(n):
+        orbit.append([p])
+        for q in orbit[p]:
+            orbit[p] += {g._img[q] for g in group.generators} - {*orbit[p]}
     out = []
     for images in permutations(fixed):
         img = list(range(n))
         for a, b in zip(fixed, images):
             img[a] = b
-        if group.member(Permutation._from_raw(tuple(img))):
+        if all(img[p] in orbit[p] for p in range(n)):
             out.append(tuple(img))
     return out
 
@@ -212,6 +221,7 @@ def brute_fold_orbits(dec):
 
     def find(i):
         while parent[i] != i:
+            parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
@@ -254,7 +264,7 @@ def test_fold_roots_are_the_orbits_under_the_free_letters(case):
     (sym(7), tilde_sym(7)),
     (sym(6), alt(6)),
     (sym(9), tilde_sym(8, degree=9)),      # one letter fixed
-    (alt(7), tilde_sym(5, degree=7)),      # (6,7) is odd, Alt{6,7} trivial
+    (alt(7), tilde_sym(6, degree=7)),      # one letter fixed, in A_7
 ])
 def test_trivial_free_letter_group_folds_nothing(group, sub):
     idt = tuple(range(group.degree))
@@ -284,42 +294,43 @@ def count_walks(monkeypatch):
             count_calls(monkeypatch, cosets, "left_coset_reps")]
 
 
-def test_double_cosets_seed_from_the_cosets_of_h_times_u(monkeypatch):
-    # A9 is not a Young group, so Alt{1..5} in it is walked.  The 8 double
-    # cosets of K = Alt{1..5} x Alt{6..9} seed the walk, from one listing of
-    # K's 252 left cosets, and 28 more orbit walks, one per root, reach all
-    # 210 double cosets of Alt{1..5}: the 3,024 left cosets of Alt{1..5}
-    # are never listed
-    group, sub = alt(9), alt_embed(5, 9)
+def test_young_h_in_a_signed_young_g_is_listed_not_walked(monkeypatch):
+    # A9 is the kernel of the sign on S9, and every double coset of
+    # Alt{1..5} in S9 lies in A9 or outside it, so A9's 210 are listed
+    # among S9's, with no left coset walked or listed.  U = Sym{6..9} is
+    # not inside A9, and it folds them onto 20 roots; the only coset_min
+    # calls check the moved stabilizer generators
+    for group, sub, counts in [
+            (alt(9), alt_embed(5, 9), (210, 20, 283)),
+            # tilde S5 in A7 fixes 6 and 7, and the odd (6,7) folds
+            (alt(7), tilde_sym(5, degree=7), (80, 45, 6)),
+            # Sym{1..5} is a Young group in the Young group S10
+            (sym(10), sym_embed(5, 10), (1546, 36, 2779))]:
+        group.order(), sub.order()
+        calls, walks, listings = count_walks(monkeypatch)
+        dec = double_cosets(group, sub)
+        assert (len(dec), len({dc.root for dc in dec})) == counts[:2]
+        assert walks == listings == []
+        assert len(calls) == sum(len(dc.stab_gens)
+                                 for i, dc in enumerate(dec) if dc.root != i) \
+            == counts[2]
+
+
+def test_the_walk_visits_each_left_coset_once(monkeypatch):
+    # C4 in S7 has no Young shape, so it is walked: one listing of the 1260
+    # left cosets (a coset_min per coset and generator of G, and one for the
+    # start), then one walk per double coset, which takes a coset_min per
+    # coset and generator of H, and one for rep^-1.  Every walked double
+    # coset is its own root, though C4 fixes three letters
+    group, sub = sym(7), embedded(cyclic(4), 7)
     group.order(), sub.order()
     calls, walks, listings = count_walks(monkeypatch)
     dec = double_cosets(group, sub)
-    assert (len(dec), len({dc.root for dc in dec})) == (210, 28)
-    assert (len(calls), len(walks), len(listings)) == (5549, 36, 1)
-    # Sym{1..5} is a Young group in the Young group S10: its 1,546 double
-    # cosets come from block-count matrices, with no left coset walked or
-    # listed; the only coset_min calls check the moved stabilizer
-    # generators of the 1,510 double cosets folded onto the 36 roots
-    group, sub = sym(10), sym_embed(5, 10)
-    group.order(), sub.order()
-    calls, walks, listings = count_walks(monkeypatch)
-    dec = double_cosets(group, sub)
-    assert (len(dec), len({dc.root for dc in dec})) == (1546, 36)
-    assert walks == listings == []
-    assert len(calls) == sum(len(dc.stab_gens)
-                             for i, dc in enumerate(dec) if dc.root != i) \
-        == 2779
-
-
-def test_double_cosets_walk_alone_when_no_letter_is_free(monkeypatch):
-    # tilde S5 in A7 fixes 6 and 7, but (6,7) is odd: U is trivial and
-    # H x U is H, so the walk lists the 420 left cosets of H once and walks
-    # each of the 80 double cosets once, with nothing to fold
-    group, sub = alt(7), tilde_sym(5, degree=7)
-    group.order(), sub.order()
-    calls, walks, listings = count_walks(monkeypatch)
-    assert len(double_cosets(group, sub)) == 80
-    assert (len(calls), len(walks), len(listings)) == (1761, 80, 1)
+    idt = tuple(range(7))
+    assert len(dec) == len(walks) == 324
+    assert all(dc.root == i and dc.conj == idt for i, dc in enumerate(dec))
+    assert len(listings) == 1
+    assert len(calls) == 1 + 1260 * (2 + 1) + 324
     # tilde S8 in S11 is a signed Young group in a Young group: its 12
     # block-count matrices split into 24 double cosets, and with U trivial
     # nothing is folded, walked, listed or canonicalized
@@ -427,8 +438,7 @@ def test_block_counts_name_each_double_coset_and_its_least_element(case):
     assert len(by_class) == len(set(least_h.values()))
 
 
-# builder; the walk's U, from _free_letter_gens, is all of Sym(Fix H) & G,
-# except where the letters H fixes lie in two orbits of G
+# builder
 YOUNG_PAIRS = {
     "C(S10, Sym{1..5})": lambda: (sym(10), sym_embed(5, 10)),
     "C(S10, Sym{1..7})": lambda: (sym(10), sym_embed(7, 10)),
@@ -484,26 +494,23 @@ def walk_of(group, sub):
 @pytest.mark.parametrize("name", YOUNG_PAIRS)
 def test_block_count_placement_matches_the_left_coset_path(name):
     # the matrices list every double coset as the walk with young_shape
-    # hidden does, and fold them along the same orbits of U where both
-    # take all of U; where the walk's U is trivial the listing folds by the
-    # whole of U, and its orbits are found by brute force
+    # hidden does, which folds none of them; the listing folds them along
+    # the orbits of U, found by brute force
     group, sub = YOUNG_PAIRS[name]()
     assert sub.young_shape()[1] == () and group.young_shape()[1] == ()
     dec = double_cosets(group, sub)
     walked = walk_of(group, sub)
     assert_listing_matches_the_walk(dec, walked)
-    if cosets._free_letter_gens(group, sub):
-        assert fold_orbits(dec) == fold_orbits(walked)
-    else:
-        assert len(fold_orbits(walked)) == len(walked) == 416
-        assert fold_orbits(dec) == brute_fold_orbits(dec)
-        assert len(fold_orbits(dec)) == 38
+    assert len(fold_orbits(walked)) == len(walked)
+    assert fold_orbits(dec) == brute_fold_orbits(dec)
 
 
 def young_pairs():
     """(G, H) with H from young_groups(), signed ones included, fixing some
-    more letters up to degree 7, and G either S_n or the Young group of a
-    partition into unions of H's orbits and fixed letters."""
+    more letters up to degree 7, and G one of: S_n; A_n, when it holds H;
+    the Young group Y of a partition into unions of H's orbits and fixed
+    letters, or the kernel in Y of a product of signs on some unions that
+    holds H."""
     @st.composite
     def build(draw):
         gens, n, _ = draw(young_groups())
@@ -516,15 +523,25 @@ def young_pairs():
         parts += [[p] for p in range(n) if p not in seen]
         if draw(st.booleans()):
             return sym(n), sub
+        if all(g.sign == 1 for g in sub.generators) and draw(st.booleans()):
+            return alt(n), sub
         labels = draw(st.lists(st.integers(0, 2), min_size=len(parts),
                                max_size=len(parts)))
-        gens = []
-        for k in set(labels):
-            union = sorted(p for part, c in zip(parts, labels) if c == k
-                           for p in part)
-            gens += [Permutation._from_raw(_swaps([(union[0], p)], n))
-                     for p in union[1:]]
-        return PermGroup(n, gens), sub
+        unions = [sorted(p for part, c in zip(parts, labels) if c == k
+                         for p in part) for k in sorted(set(labels))]
+        # each generator of H maps every union onto itself, and the product
+        # of its signs on the unions at J is its sign on their letters
+        big = [j for j, u in enumerate(unions) if len(u) > 1]
+        holds = []
+        for size in range(1, len(big) + 1):
+            for signed in combinations(big, size):
+                letters = {p for j in signed for p in unions[j]}
+                if all(Permutation._from_raw(tuple(
+                        g._img[p] if p in letters else p for p in range(n))
+                        ).sign == 1 for g in sub.generators):
+                    holds.append(list(signed))
+        signed = draw(st.sampled_from([[], *holds]))
+        return PermGroup(n, young_case(unions, signed, n)[0]), sub
     return build()
 
 
@@ -538,9 +555,14 @@ def young_pairs():
 # a signed orbit and an unsigned one whose letters interleave: some folds
 # need the parity correction of _BlockCounts.conjugator
 @example((sym(7), PermGroup(7, young_case([[1, 3, 5], [0, 4]], [0], 7)[0])))
+# signed G: A_7, and the kernel of the product of the signs on {1..4} and
+# {5,6,7}, where U = Sym{5,6,7} holds (5,6), which is not in G
+@example((alt(7), tilde_sym(5, degree=7)))
+@example((PermGroup(7, young_case([[0, 1, 2, 3], [4, 5, 6]], [0, 1], 7)[0]),
+          tilde_sym(4, degree=7)))
 def test_listing_matches_brute_force_and_the_walk(pair):
     # each rep is min(HyH) by brute force over S_n, the reps are those of
-    # the double cosets meeting G, n_left, self_inverse and S(rep) agree
+    # the double cosets meeting G, which lie in G, n_left, self_inverse and S(rep) agree
     # with the walk, the roots are the orbits of all of U and every conj is
     # valid, as in test_fold_roots_are_the_orbits_under_the_free_letters
     group, sub = pair
@@ -625,7 +647,7 @@ def test_coset_orbit_grows_one_chain_and_builds_no_group(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "__init__", counting_init)
-    orbit, _, stab_gens, _ = cosets._coset_orbit(
+    orbit, stab_gens, _ = cosets._coset_orbit(
         sub.coset_min(g._img), sub, [x._img for x in sub.generators])
     assert built == []
     monkeypatch.undo()
