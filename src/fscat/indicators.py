@@ -524,8 +524,8 @@ def _check_global_identities(group: PermGroup, sub: PermGroup, m: int,
     """Column orthogonality over G, with dim = [H:S(g)] * chi(1): the
     dimensions square-sum to |G|, and sum dim * nu_m counts the y in G with
     y^m = e.  The count comes from cycle types when G is a Young or
-    signed-Young group (such as S_n and A_n), from G's elements when G is
-    within the enumeration bound, and is skipped otherwise.
+    signed-Young group (such as S_n and A_n), by a walk over G's chain when
+    G is within the enumeration bound, and is skipped otherwise.
 
     The second identity holds for every G: sum_chi chi(1) conj(chi)(z) =
     |S| delta_{z,e} turns sum dim * nu_m into the sum over the left cosets
@@ -537,12 +537,10 @@ def _check_global_identities(group: PermGroup, sub: PermGroup, m: int,
             "the squared dimensions do not sum to the group order")
     roots = _power_roots(group, m)
     if roots is None and group.order() <= config.ENUMERATION_BOUND:
-        # leave no list of G's elements behind on the caller's group
-        listed = group._elem_tuples is not None
+        # walk G as two_power_rep walks H, listing none of it
         one = _identity(group.degree)
-        roots = sum(1 for y in group.element_tuples() if _raw_pow(y, m) == one)
-        if not listed:
-            group._elem_tuples = None
+        roots = sum(1 for us in product(*group._transversals())
+                    if _raw_pow(reduce(_mul, us, one), m) == one)
     total = sum(d * e.nu for d, e in zip(dims, entries))
     if roots is not None and total != roots:
         raise ArithmeticError(
@@ -614,8 +612,6 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     compatibility and affects nothing.  m must be a positive integer.
     """
     _check_m(m)
-    if not sub.is_subgroup_of(group):
-        raise ValueError("not a subgroup")
     decomposition = double_cosets(group, sub)
     rows: list[list[IndicatorEntry]] = [[] for _ in decomposition.cosets]
     classes = _stabilizer_classes(decomposition)

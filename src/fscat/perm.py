@@ -339,8 +339,9 @@ class PermGroup:
     """Permutation group given by generators; membership via a stabilizer chain.
 
     The chain uses the full natural base (points 0, 1, ... in storage order),
-    which also supports computing the least element of a left coset.  It is
-    the trivial chain extended by each generator that does not sift.
+    so walking it gives the least element of a left coset (coset_min), for
+    every group alike.  It is the trivial chain extended by each generator
+    that does not sift.
     """
 
     def __init__(self, degree: int, generators):
@@ -541,50 +542,11 @@ class PermGroup:
     def coset_min(self, y: tuple[int, ...]) -> tuple[int, ...]:
         """Lexicographically least image tuple in the left coset y * self.
 
-        For s in the group, y * s holds y's values on each orbit O of the
-        group, rearranged among O's positions.  On a group with a Young shape
-        the least element is read off directly:
-          * Y = prod Sym(O_j) gives every rearrangement, and z, y with its
-            values sorted within each orbit's positions, is the least: take
-            the first position p where another element of yY differs from
-            z, in orbit O.  Both hold the same values at O's positions
-            before p, and z holds the least of the others at p, so the other
-            element is larger there.
-          * For K = ker eps_I, z = y * s0 with s0 in Y.  yK is zK when
-            eps_I(s0), the product of the signs of the sorts on the orbits
-            of I, is +1, and z * (Y - K) otherwise.  In the second case,
-            every z * t first differs from z at t's least moved point p,
-            where it holds z(t(p)) with t(p) a later position of p's orbit,
-            so a larger value; the later p, the smaller z * t.  t is odd on
-            some O_j in I, so it moves two points of O_j, and p is at most
-            the second-to-last position of O_j.  That bound is largest for
-            the j in I whose second-to-last position is largest, and only
-            the swap of O_j's last two positions reaches it there: every
-            other orbit of I has at most one position after it.  Any other
-            t with the same p also moves later points, of orbits sorted in
-            z, so z * t is larger.
-        Every other group walks its stabilizer chain.
+        Walks the chain from the top: y * u, for u in a level's transversal,
+        holds at the level's base point b the value y takes at u(b), so the
+        least value there comes from the orbit point where y is least.  The
+        base is 0, 1, ..., so the deeper levels fix every position before b.
         """
-        shape = self.young_shape()
-        if shape is not None:
-            orbits, signed = shape
-            out = list(y)
-            odd = 0
-            last = None
-            for j, o in enumerate(orbits):
-                values = [y[p] for p in o]
-                if j in signed:
-                    odd ^= (values[0] > values[1] if len(o) == 2 else
-                            _parity(sorted(range(len(o)),
-                                           key=values.__getitem__)))
-                    if last is None or o[-2] > last[-2]:
-                        last = o
-                values.sort()
-                for p, v in zip(o, values):
-                    out[p] = v
-            if odd:
-                out[last[-2]], out[last[-1]] = out[last[-1]], out[last[-2]]
-            return tuple(out)
         cur = y
         for lv in self._chain():
             if len(lv.orbit) == 1:

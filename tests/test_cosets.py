@@ -204,7 +204,8 @@ def free_letter_group(group, sub):
 def brute_fold_orbits(dec):
     """The orbits of the double cosets under conjugation by all of U, as
     sets of positions; each left coset is placed in its double coset by a
-    search over H's generators from the double coset's representative."""
+    search over H's generators from the double coset's representative.  The
+    transpositions of U generate it, so the union runs over those alone."""
     sub = dec.sub
     block_of = {}
     for i, dc in enumerate(dec):
@@ -226,6 +227,8 @@ def brute_fold_orbits(dec):
         return i
 
     for u in free_letter_group(dec.group, sub):
+        if sum(p != q for p, q in enumerate(u)) != 2:
+            continue
         u_p = Permutation._from_raw(u)
         for i, dc in enumerate(dec):
             moved = (u_p * dc.rep * u_p.inverse())._img
@@ -274,12 +277,12 @@ def test_trivial_free_letter_group_folds_nothing(group, sub):
 
 
 def count_calls(monkeypatch, owner, name):
-    """The calls of owner.name, one entry each."""
+    """The calls of owner.name, one entry each: its arguments."""
     calls = []
     f = getattr(owner, name)
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args)
         return f(*args)
 
     monkeypatch.setattr(owner, name, counting)
@@ -297,23 +300,37 @@ def count_walks(monkeypatch):
 def test_young_h_in_a_signed_young_g_is_listed_not_walked(monkeypatch):
     # A9 is the kernel of the sign on S9, and every double coset of
     # Alt{1..5} in S9 lies in A9 or outside it, so A9's 210 are listed
-    # among S9's, with no left coset walked or listed.  U = Sym{6..9} is
-    # not inside A9, and it folds them onto 20 roots; the only coset_min
-    # calls check the moved stabilizer generators
+    # among S9's, with no left coset walked or listed and no coset_min.
+    # U = Sym{6..9} is not inside A9, and it folds them onto 20 roots; each
+    # of the 190 others is checked by one sift in H that its rep*H is
+    # conj*root*conj^-1*H
     for group, sub, counts in [
-            (alt(9), alt_embed(5, 9), (210, 20, 283)),
+            (alt(9), alt_embed(5, 9), (210, 20)),
             # tilde S5 in A7 fixes 6 and 7, and the odd (6,7) folds
-            (alt(7), tilde_sym(5, degree=7), (80, 45, 6)),
+            (alt(7), tilde_sym(5, degree=7), (80, 45)),
             # Sym{1..5} is a Young group in the Young group S10
-            (sym(10), sym_embed(5, 10), (1546, 36, 2779))]:
+            (sym(10), sym_embed(5, 10), (1546, 36))]:
         group.order(), sub.order()
         calls, walks, listings = count_walks(monkeypatch)
+        checks = count_calls(monkeypatch, PermGroup, "member")
         dec = double_cosets(group, sub)
-        assert (len(dec), len({dc.root for dc in dec})) == counts[:2]
-        assert walks == listings == []
-        assert len(calls) == sum(len(dc.stab_gens)
-                                 for i, dc in enumerate(dec) if dc.root != i) \
-            == counts[2]
+        assert (len(dec), len({dc.root for dc in dec})) == counts
+        assert calls == walks == listings == []
+        assert sum(args[0] is sub for args in checks) == \
+            counts[0] - counts[1] == \
+            sum(dc.root != i for i, dc in enumerate(dec))
+        monkeypatch.undo()
+
+
+def test_a_wrong_conjugator_trips_the_coset_check(monkeypatch):
+    # with h the identity, conj = u only carries the root into the double
+    # coset of rep, not onto rep*H, and the listing refuses it
+    group, sub = sym(7), sym_embed(3, 7)
+    assert any(dc.root != i for i, dc in enumerate(double_cosets(group, sub)))
+    monkeypatch.setattr(_BlockCounts, "conjugator",
+                        lambda self, y, rep: tuple(range(self.n)))
+    with pytest.raises(AssertionError):
+        double_cosets(group, sub)
 
 
 def test_the_walk_visits_each_left_coset_once(monkeypatch):
