@@ -374,6 +374,7 @@ _FULL_EXTRA = [
 _EXTENDED_EXTRA = [
     ("thm-tilde", {"n": 11}),
     ("thm-tilde-plus1", {"n": 11}),
+    ("thm-tilde-plus1", {"n": 9}),
     *[("thm-An", {"n": n}) for n in range(10, 15)],
     *[("thm-tilde", {"n": n}) for n in range(12, 19)],
     *[("lemma-twisted-An", {"n": n}) for n in range(9, 13)],
@@ -390,8 +391,9 @@ def run_all(profile: str = "quick") -> list[VerificationReport]:
     """Run the registry over a fixed parameter schedule.
 
     quick stays at degree <= 7; full adds the degree 8..12 instances;
-    extended adds to full the degree-11 tilde scans, thm-An for n = 10..14,
-    thm-tilde for n = 12..18 and lemma-twisted-An for n = 9..12.
+    extended adds to full the degree-11 tilde scans, thm-tilde-plus1 for
+    n = 9, thm-An for n = 10..14, thm-tilde for n = 12..18 and
+    lemma-twisted-An for n = 9..12.
     """
     try:
         schedule = _PROFILES[profile]

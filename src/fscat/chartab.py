@@ -49,8 +49,12 @@ for all j in I; on them it is +-R * prod_{j not in I} chi_{lam_j}(mu_j),
 with R^2 = prod_{j in I} e_j * prod h(lam_j) and the sign of the half.
 Changing the sign of R only swaps psi+ and psi-, so any square root does.
 Every e_j * prod h is 1 mod 4, so R is f times a product of quadratic Gauss
-sums.  Values are built with Cyclotomic.from_rational and from_exponents, so
-they are the canonical values Dixon's method gives.
+sums.  Each orbit's Murnaghan-Nakayama values are read once per table, as
+one integer vector per partition over the table's columns, and a row
+chi_lam is the elementwise product of its orbits' vectors, in plain ints.
+Only the split rows psi+- can hold values that are not rational integers;
+they are built with Cyclotomic.from_rational and from_exponents, so every
+value is the canonical one Dixon's method gives.
 
 Square censuses.  The degree-2 indicator sums chi((w s)^2) over s in S for
 a w that normalizes S with w^2 in S, so it reads the class counts of the
@@ -104,8 +108,13 @@ Every route checks the degree sum and the orthonormality of every pair of
 rows, and sorts the rows by degree, then by values.  Each refuses a table
 of r^2 entries over the enumeration bound, and refuses to list more than it
 allows: the class BFS group elements, the partition route its r columns,
-counted before any is listed.  The orthonormality of an irrational pair is
-read off inner_product, which sums in one cyclotomic field.
+counted before any is listed.  A pair of rows of rational integers is
+checked in plain ints, each row weighted by the class sizes once per table;
+the orthonormality of an irrational pair is read off inner_product, which
+sums in one cyclotomic field.  Every class-census sum (the indicators',
+nu_classical's) goes through _census_average, which sums a row of rational
+integers in plain ints and ends in one exact divmod, and builds a
+Cyclotomic only for any other row.
 
 The map from elements to classes is private to this module.  Other modules
 read it through the class object: index_of for one raw element, census for
@@ -119,6 +128,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from . import config
 from .cyclo import (ZERO, Cyclotomic, _normalized, _prime_factors,
@@ -481,10 +491,14 @@ def _as_cyclo(v) -> Cyclotomic:
     return v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
 
 
+# Character._ints before its first read
+_UNREAD = object()
+
+
 class Character:
     """A class function given by its values on the classes of a class object."""
 
-    __slots__ = ("classes", "values", "_sparse")
+    __slots__ = ("classes", "values", "_sparse", "_ints")
 
     def __init__(self, classes, values):
         vals = tuple(_as_cyclo(v) for v in values)
@@ -492,8 +506,10 @@ class Character:
             raise ValueError("one value per conjugacy class required")
         self.classes = classes
         self.values = vals
-        # inner_product's lift of the values, built on first use
+        # inner_product's lift of the values and _integer_values' view of
+        # them, each built on first use
         self._sparse = None
+        self._ints = _UNREAD
 
     @property
     def degree(self) -> int:
@@ -540,6 +556,37 @@ def _lifted(chi: Character) -> list:
         chi._sparse = [(v.n, v.den, [(j, c) for j, c in enumerate(v.num) if c])
                        for v in chi.values]
     return chi._sparse
+
+
+def _integer_values(chi: Character) -> tuple[int, ...] | None:
+    """chi's values as plain ints, or None when one of them is not a rational
+    integer; read once per character."""
+    if chi._ints is _UNREAD:
+        ints = tuple(v.as_rational_integer() for v in chi.values)
+        chi._ints = None if None in ints else ints
+    return chi._ints
+
+
+def _census_average(counts: list[int], chi: Character, order: int,
+                    conj: bool = False) -> int | Cyclotomic:
+    """(1/order) * sum_j counts_j * chi(C_j), with chi conjugated when conj
+    is set: the one kernel of every class-census sum.
+
+    A row of rational integers is its own conjugate.  It is summed in plain
+    ints and divided by one exact divmod, and the average is that int when
+    order divides the sum.  Any other row, and a sum that order does not
+    divide, gives the Cyclotomic that summing Cyclotomic terms gives.
+    """
+    ints = _integer_values(chi)
+    if ints is not None:
+        total = sum(map(mul, counts, ints))
+        quot, rem = divmod(total, order)
+        return Cyclotomic.from_rational(Fraction(total, order)) if rem else quot
+    total = ZERO
+    for c, v in zip(counts, chi.values):
+        if c:
+            total = total + (v.conj() if conj else v).scaled(c)
+    return total.scaled(Fraction(1, order))
 
 
 def inner_product(a: Character, b: Character) -> Cyclotomic:
@@ -598,12 +645,13 @@ def induce(chi: Character, overgroup: PermGroup) -> Character:
 
 
 def nu_classical(chi: Character, m: int = 2) -> Cyclotomic:
-    """Classical degree-m indicator (1/|G|) sum chi(g^m)."""
+    """Classical degree-m indicator (1/|G|) sum chi(g^m), read off the class
+    census of the m-th powers by _census_average."""
     cd = chi.classes
-    total = ZERO
+    counts = [0] * len(cd)
     for j, h in enumerate(cd.sizes):
-        total = total + chi.values[cd.power_class(j, m)].scaled(h)
-    return total.scaled(Fraction(1, cd.group.order()))
+        counts[cd.power_class(j, m)] += h
+    return _as_cyclo(_census_average(counts, chi, cd.group.order()))
 
 
 class CharacterTable:
@@ -646,20 +694,19 @@ def _finish(cd, chars: list[Character]) -> CharacterTable:
 
 def _verify_table(n_g: int, chars: list[Character]) -> None:
     """Degree squares sum to |G|, and every pair of rows is orthonormal:
-    with exact integers, sum_j h_j a_j b_j = |G| delta, when both rows are
-    rational, else by inner_product."""
+    when both rows are rational integers (_integer_values), sum_j h_j a_j b_j
+    = |G| delta in plain ints, with each row a weighted by the class sizes h
+    once per table; else by inner_product."""
     if sum(c.degree * c.degree for c in chars) != n_g:
         raise RuntimeError("degree squares do not sum to the group order")
     sizes = chars[0].classes.sizes
-    ints = []
-    for c in chars:
-        vals = [v.as_rational_integer() for v in c.values]
-        ints.append(None if None in vals else vals)
+    ints = [_integer_values(c) for c in chars]
     for i, a in enumerate(chars):
+        weighted = None if ints[i] is None else list(map(mul, sizes, ints[i]))
         for k in range(i, len(chars)):
             expect = 1 if k == i else 0
-            if ints[i] is not None and ints[k] is not None:
-                ok = sum(h * x * y for h, x, y in zip(sizes, ints[i], ints[k])) == n_g * expect
+            if weighted is not None and ints[k] is not None:
+                ok = sum(map(mul, weighted, ints[k])) == n_g * expect
             else:
                 ok = inner_product(a, chars[k]).as_rational_integer() == expect
             if not ok:
@@ -730,16 +777,34 @@ def _sqrt_terms(q: int) -> tuple[int, dict[int, int]]:
 
 def _young_table(cd: YoungClasses) -> CharacterTable:
     """The table of a Young or signed-Young group from partitions (see the
-    module docstring)."""
+    module docstring).
+
+    Each orbit's Sym(O_j) values are read once per table, as one vector per
+    partition lam_j over the table's columns: chi_{lam_j}(mu_j) at the
+    column of cycle types mu.  A row chi_lam is the elementwise product of
+    its orbits' vectors, in plain ints; a group with no orbits has the one
+    row [1].
+    """
     signed = cd._signed
+    labels = cd._labels
+    vectors: list[dict[tuple[int, ...], list[int]]] = [{} for _ in cd._orbits]
+
+    def vector(j: int, part: tuple[int, ...]) -> list[int]:
+        vec = vectors[j].get(part)
+        if vec is None:
+            vec = vectors[j][part] = [_mn(part, mu[j]) for mu, _ in labels]
+        return vec
+
     chars = []
     for lam in product(*(_partitions(len(o)) for o in cd._orbits)):
         twin = tuple(_conjugate(part) if j in signed else part
                      for j, part in enumerate(lam))
         if twin < lam:
             continue
-        values = [math.prod(_mn(part, m) for part, m in zip(lam, mu))
-                  for mu, _ in cd._labels]
+        values = [1] * len(labels)  # the row of a group with no orbits
+        for j, part in enumerate(lam):
+            values = (vector(j, part) if j == 0
+                      else list(map(mul, values, vector(j, part))))
         if not signed or twin != lam:
             chars.append(Character(cd, values))
             continue
@@ -750,11 +815,12 @@ def _young_table(cd: YoungClasses) -> CharacterTable:
         d, root = _sqrt_terms(q)
         for sign in (1, -1):
             row = []
-            for (mu, half), v in zip(cd._labels, values):
+            for col, ((mu, half), v) in enumerate(zip(labels, values)):
                 rest = 0
                 if all(mu[j] == h for j, h in hooks.items()):
-                    rest = math.prod(_mn(part, m) for j, (part, m)
-                                     in enumerate(zip(lam, mu)) if j not in hooks)
+                    rest = math.prod(vector(j, part)[col]
+                                     for j, part in enumerate(lam)
+                                     if j not in hooks)
                 if not rest:
                     row.append(Cyclotomic.from_rational(Fraction(v, 2)))
                     continue

@@ -215,6 +215,8 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, q) -> "Cyclotomic":
+        if isinstance(q, int):
+            return cls._raw(1, (int(q),), 1)
         q = Fraction(q)
         return cls._raw(1, (q.numerator,), q.denominator)
 

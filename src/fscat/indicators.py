@@ -45,7 +45,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -54,6 +53,7 @@ from .chartab import (
     Character,
     ClassData,
     YoungClasses,
+    _census_average,
     character_table,
     conjugacy_classes,
     induce,
@@ -61,7 +61,7 @@ from .chartab import (
     nu_classical,
 )
 from .cosets import DoubleCosetDecomposition, double_cosets, stabilizer
-from .cyclo import ZERO, Cyclotomic
+from .cyclo import Cyclotomic
 from .perm import (PermGroup, Permutation, _conj, _identity, _inv, _mul,
                    _raw_pow, _sift, conjugate)
 
@@ -95,19 +95,19 @@ def _as_int(value: Cyclotomic, what: str | _Label) -> int:
 def _census_indicators(counts: list[int], characters, order: int,
                        what: str | _Label, conj: bool = False) -> list[int]:
     """(1/order) * sum_j counts_j * chi(C_j) for each character chi, with chi
-    conjugated when conj is set (the defining sum).
+    conjugated when conj is set (the defining sum), each by chartab's
+    _census_average.
 
     counts is a class census of the group behind the characters; order is the
-    order of that group.
+    order of that group.  A row of rational integers is summed in plain ints,
+    with no Cyclotomic built, and ends in one exact divmod by order.  Every
+    sum must be a rational integer; ArithmeticError names what and the value
+    otherwise.
     """
-    unit = Fraction(1, order)
     out = []
     for chi in characters:
-        total = ZERO
-        for c, v in zip(counts, chi.values):
-            if c:
-                total = total + (v.conj() if conj else v).scaled(c)
-        out.append(_as_int(total.scaled(unit), what))
+        value = _census_average(counts, chi, order, conj)
+        out.append(value if isinstance(value, int) else _as_int(value, what))
     return out
 
 

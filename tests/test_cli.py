@@ -327,7 +327,8 @@ def test_extended_profile_adds_the_degree_eleven_tilde_scans(monkeypatch,
     full = [(r.claim, r.params) for r in catalog.run_all("full")]
     extended = [(r.claim, r.params) for r in catalog.run_all("extended")]
     assert extended == full + [("thm-tilde", {"n": 11}),
-                               ("thm-tilde-plus1", {"n": 11})] + [
+                               ("thm-tilde-plus1", {"n": 11}),
+                               ("thm-tilde-plus1", {"n": 9})] + [
         ("thm-An", {"n": n}) for n in range(10, 15)] + [
         ("thm-tilde", {"n": n}) for n in range(12, 19)] + [
         ("lemma-twisted-An", {"n": n}) for n in range(9, 13)]

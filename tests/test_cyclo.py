@@ -154,3 +154,11 @@ def test_ring_axioms_on_random_triples():
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
         assert (a * b).conj() == a.conj() * b.conj()
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 2, -7, 720, -40320, 10**30, -10**30])
+def test_from_rational_takes_an_int_as_its_fraction(k):
+    a, b = Cyclotomic.from_rational(k), Cyclotomic.from_rational(Fraction(k))
+    assert (a.n, a.num, a.den) == (b.n, b.num, b.den) == (1, (k,), 1)
+    assert type(a.num[0]) is int
+    assert a == b and hash(a) == hash(b) == hash(k)

@@ -20,7 +20,7 @@ from fscat import chartab, config, indicators, perm
 from fscat.cli import parse_group_spec
 from fscat.chartab import character_table, nu_classical
 from fscat.cosets import is_null_coset, double_cosets, stabilizer
-from fscat.cyclo import ZERO
+from fscat.cyclo import ZERO, Cyclotomic
 from fscat.indicators import (
     category_scan,
     index_two_overgroup,
@@ -939,3 +939,71 @@ def test_degree_two_routes_test_membership_by_sifting(monkeypatch):
     nu2_stab(w, chi, sub)
     index_two_overgroup(w, stab)
     assert not listed
+
+
+def _census_reference(counts, row, order, what, conj):
+    """_census_indicators' value for one row, summed term by term through
+    Cyclotomic, or the ArithmeticError text it raises."""
+    total = ZERO
+    for c, v in zip(counts, row):
+        v = Cyclotomic.from_rational(Fraction(v))
+        total = total + (v.conj() if conj else v).scaled(c)
+    value = total.scaled(Fraction(1, order))
+    if value.as_rational_integer() is None:
+        return f"{what} is not a rational integer: {value}"
+    return value.as_rational_integer()
+
+
+_S6_CLASSES = chartab.conjugacy_classes(sym(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), order=st.integers(1, 12), conj=st.booleans())
+@example(data=None, order=720, conj=False)
+@example(data=None, order=7, conj=True)
+def test_integer_census_route_matches_the_cyclotomic_sum(data, order, conj):
+    # random integer rows on S6's 11 classes against random censuses; the
+    # integer route builds no Cyclotomic on the way, and its error text is
+    # the reference's byte for byte
+    r = len(_S6_CLASSES)
+    if data is None:
+        # S6's table against its class sizes (divisible), and a census
+        # that 7 divides for no row (every total is 1 mod 7)
+        table = character_table(sym(6))
+        rows = [chi.values for chi in table.characters]
+        rows = [[v.as_rational_integer() for v in row] for row in rows]
+        counts = (list(_S6_CLASSES.sizes) if order == 720
+                  else [1] + [0] * (r - 1))
+        rows = [row for row in rows if order == 720 or row[0] % 7 == 1]
+    else:
+        ints = st.lists(st.integers(-30, 30), min_size=r, max_size=r)
+        rows = data.draw(st.lists(ints, min_size=1, max_size=4))
+        counts = data.draw(st.lists(st.integers(0, 50), min_size=r,
+                                    max_size=r))
+    what = indicators._Label("nu_3 at", P("(1,2)(4,5)", 6))
+    for row in rows:
+        want = _census_reference(counts, row, order, what, conj)
+        chi = chartab.Character(_S6_CLASSES, row)
+        if isinstance(want, str):
+            with pytest.raises(ArithmeticError) as exc:
+                indicators._census_indicators(counts, [chi], order, what,
+                                              conj=conj)
+            assert str(exc.value) == want
+        else:
+            assert indicators._census_indicators(
+                counts, [chi], order, what, conj=conj) == [want]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_unsigned_young_scan_builds_no_cyclotomic_sum(monkeypatch, m):
+    # every stabilizer of C(S8, Sym{1..4}) is an unsigned Young group, so
+    # every row is integer: the tables' checks and the census sums run in
+    # plain ints, and the report is the same byte for byte
+    want = category_scan(sym(8), sym_embed(4, 8), m).to_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cyclotomic arithmetic on an integer row")
+
+    for name in ("__add__", "__radd__", "scaled"):
+        monkeypatch.setattr(Cyclotomic, name, refuse)
+    assert category_scan(sym(8), sym_embed(4, 8), m).to_json() == want
