@@ -378,6 +378,8 @@ _EXTENDED_EXTRA = [
     *[("thm-An", {"n": n}) for n in range(10, 15)],
     *[("thm-tilde", {"n": n}) for n in range(12, 19)],
     *[("lemma-twisted-An", {"n": n}) for n in range(9, 13)],
+    *[("thm-tilde-plus1", {"n": n}) for n in range(12, 15)],
+    *[("thm-tilde-plusk", {"n": n, "k": 2}) for n in range(8, 14)],
 ]
 
 _PROFILES = {
@@ -392,8 +394,9 @@ def run_all(profile: str = "quick") -> list[VerificationReport]:
 
     quick stays at degree <= 7; full adds the degree 8..12 instances;
     extended adds to full the degree-11 tilde scans, thm-tilde-plus1 for
-    n = 9, thm-An for n = 10..14, thm-tilde for n = 12..18 and
-    lemma-twisted-An for n = 9..12.
+    n = 9, thm-An for n = 10..14, thm-tilde for n = 12..18,
+    lemma-twisted-An for n = 9..12, thm-tilde-plus1 for n = 12..14 and
+    thm-tilde-plusk (k = 2) for n = 8..13.
     """
     try:
         schedule = _PROFILES[profile]

@@ -38,7 +38,7 @@ Either way, a double coset is self-inverse exactly when some element of
 rep*H squares into H.  If rep^-1 = h1*rep*h2, then (rep*h1)^2 = h2^-1*h1
 lies in H; conversely, if (rep*x)^2 = h lies in H, then
 rep^-1 = x*rep*(x*h^-1).  So on a double coset that is not self-inverse
-every degree-2 indicator vanishes.
+every degree-2 indicator vanishes; rep*h1 is DoubleCoset.square_root.
 
 Double cosets repeat along the letters H fixes.  Any k normalizing H maps
 H*g*H to H*kgk^-1*H, and S(kgk^-1) = k*S(g)*k^-1, since
@@ -119,8 +119,8 @@ class DoubleCoset:
     (_BlockCounts.stab_gens), else they are the Schreier generators of the
     orbit walk from rep; every other double coset has the conjugates of its
     root's.
-    self_inverse tells whether rep^-1 lies in sub*rep*sub, that is whether
-    some element of rep*sub squares into sub.
+    square_root is a raw w in rep*sub with w^2 in sub, None exactly when
+    rep^-1 is not in sub*rep*sub (self_inverse, read off it).
     root is the position, in the sorted list of double cosets, of the root
     of this coset's orbit under U, and conj is a raw k normalizing sub, in
     Y_G but not always in group, with rep*sub = k*root*k^-1*sub.  Then
@@ -133,9 +133,10 @@ class DoubleCoset:
     n_left: int
     size: int
     stab_gens: tuple[tuple[int, ...], ...]
-    self_inverse: bool
+    square_root: tuple[int, ...] | None
     root: int
     conj: tuple[int, ...]
+    self_inverse = property(lambda self: self.square_root is not None)
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,11 @@ class DoubleCosetDecomposition:
 
 def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
                  ) -> tuple[list[tuple[int, ...]],
-                            tuple[tuple[int, ...], ...], bool]:
+                            tuple[tuple[int, ...], ...],
+                            tuple[int, ...] | None]:
     """The canonical left cosets in the sub-orbit of start*sub, raw
-    generators of the stabilizer S(start), and whether start^-1*sub lies in
-    that orbit (DoubleCoset.self_inverse).
+    generators of the stabilizer S(start), and start*a with a*start*sub =
+    start^-1*sub, or None off the orbit (DoubleCoset.square_root).
 
     The walk keeps a Schreier transversal: trans[c] in sub carries start*sub
     to c*sub.  An edge c -> s*c of the walk that reaches a coset already
@@ -192,7 +194,8 @@ def _coset_orbit(start: tuple[int, ...], sub: PermGroup, gens
             _extend(levels, x)
             order = math.prod(len(lv.orbit) for lv in levels)
     assert order == target
-    return orbit, tuple(found), sub.coset_min(_inv(start)) in trans
+    a = trans.get(sub.coset_min(_inv(start)))
+    return orbit, tuple(found), None if a is None else _mul(start, a)
 
 
 class _BlockCounts:
@@ -573,7 +576,7 @@ _NO_SIGNS = frozenset({0})
 def _listed(group: PermGroup, sub: PermGroup) -> dict:
     """The double cosets of a Young or signed-Young sub in a Young or
     signed-Young group, by _BlockCounts: rep -> (n_left, stab_gens,
-    self_inverse, root's rep, conj).
+    square_root, root's rep, conj).
 
     Each matrix M, as it is listed, gives one double coset per class
     modulo I.  rep is its least element (least for the class 0 of z,
@@ -583,11 +586,11 @@ def _listed(group: PermGroup, sub: PermGroup) -> dict:
     coset is keyed by M and its class.  u in U maps the double coset of y
     to that of u*y*u^-1, whose matrix is M with the rows and columns of the
     fixed letters permuted by u.  The root of each orbit of U is its least
-    double coset, and its stab_gens are read off its cells.  Every other
-    double coset of the orbit has conj = h*u, with u*root*u^-1 in it and h
-    in sub from conjugator, and the root's generators moved by conj; one
-    sift per such double coset checks that rep*sub = conj*root*conj^-1*sub,
-    which gives S(rep) = conj*S(root)*conj^-1 since conj normalizes sub.
+    double coset, its stab_gens are read off its cells, and a self-inverse
+    one's square root is rep*h^-1, h*rep^-1*sub = rep*sub by conjugator.
+    Every other double coset of the orbit has conj = h*u, u*root*u^-1 in
+    it and h from conjugator, and the root's data moved by conj; one sift
+    per such double coset checks rep*sub = conj*root*conj^-1*sub.
     When group is signed, the double cosets of the Young group of its
     orbits that lie outside it are dropped before the roots are sought.
     """
@@ -628,7 +631,9 @@ def _listed(group: PermGroup, sub: PermGroup) -> dict:
         if rep_r in found:
             continue
         root_gens = bc.stab_gens(rep_r)
-        found[rep_r] = (n_left, root_gens, inverse, rep_r, idt)
+        w_r = (_mul(rep_r, _inv(bc.conjugator(_inv(rep_r), rep_r)))
+               if inverse else None)
+        found[rep_r] = (n_left, root_gens, w_r, rep_r, idt)
         # (position, u) with u*root*u^-1 in the double coset there
         queue = [(r, idt)]
         for q, u_src in queue:
@@ -643,7 +648,7 @@ def _listed(group: PermGroup, sub: PermGroup) -> dict:
                     y = _mul(_mul(g, pieces[q][0]), _inv(g))
                     key[-1] = min(bc.cls(y, z) ^ x for x in span)
                 t = where[pack(key)]
-                rep, n_left, inverse, _, _ = pieces[t]
+                rep, n_left, _, _, _ = pieces[t]
                 if rep not in found:
                     u = _mul(g, u_src)
                     moved = _mul(_mul(u, rep_r), _inv(u))
@@ -653,7 +658,8 @@ def _listed(group: PermGroup, sub: PermGroup) -> dict:
                     assert sub.member(Permutation._from_raw(
                         _mul(_inv(rep), _mul(_mul(k, rep_r), k_inv))))
                     gens = tuple(_mul(_mul(k, x), k_inv) for x in root_gens)
-                    found[rep] = (n_left, gens, inverse, rep_r, k)
+                    w = None if w_r is None else _mul(_mul(k, w_r), k_inv)
+                    found[rep] = (n_left, gens, w, rep_r, k)
                     queue.append((t, u))
     return found
 
@@ -670,7 +676,7 @@ def _pack(degree: int):
 
 def _walked(group: PermGroup, sub: PermGroup) -> dict:
     """The double cosets of any sub by orbit walks of its left cosets:
-    rep -> (n_left, stab_gens, self_inverse, rep, identity).
+    rep -> (n_left, stab_gens, square_root, rep, identity).
 
     The canonical left cosets are taken in increasing order, and each one
     not yet placed starts a walk that places its double coset.  The least
@@ -687,9 +693,9 @@ def _walked(group: PermGroup, sub: PermGroup) -> dict:
         rep = p._img
         if key(rep) in placed:
             continue
-        orbit, stab_gens, self_inverse = _coset_orbit(rep, sub, gens)
+        orbit, stab_gens, w = _coset_orbit(rep, sub, gens)
         placed.update(map(key, orbit))
-        found[rep] = (len(orbit), stab_gens, self_inverse, rep, idt)
+        found[rep] = (len(orbit), stab_gens, w, rep, idt)
     return found
 
 
@@ -713,9 +719,8 @@ def double_cosets(group: PermGroup, sub: PermGroup) -> DoubleCosetDecomposition:
     where = {p: j for j, p in enumerate(sorted(found))}
     out = tuple(DoubleCoset(rep=Permutation._from_raw(p), n_left=n_left,
                             size=n_left * h_order, stab_gens=stab_gens,
-                            self_inverse=self_inverse, root=where[root],
-                            conj=k)
-                for p, (n_left, stab_gens, self_inverse, root, k)
+                            square_root=w, root=where[root], conj=k)
+                for p, (n_left, stab_gens, w, root, k)
                 in sorted(found.items()))
     assert sum(dc.size for dc in out) == group.order()
     return DoubleCosetDecomposition(group=group, sub=sub, cosets=out)

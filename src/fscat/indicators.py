@@ -22,20 +22,20 @@ over S for an involution u, read as the square census of the coset uS, from
 which _census_indicators reads every twisted indicator at once.
 
 category_scan visits every double coset and reports one row per simple
-object.  For m = 2 double_cosets has already decided vanishing: a
-coset that is not self-inverse (DoubleCoset.self_inverse) has no element
+object.  For m = 2 double_cosets has already decided vanishing: a coset
+that is not self-inverse (DoubleCoset.self_inverse) has no element
 squaring into H, so all its indicators are zero without a sum.  Otherwise
-the scan uses the stabilizer sum at an adjusted representative w, on the
-trivial double coset too: there w lies in H, wS(g) = S(g), and the sum is
-the classical indicator.  It reads the class census of the squares of the
-coset wS(g) from the class object (chartab's square_census): from cycle types when S(g) is a Young or
-signed-Young group, by listing S(g) otherwise; H itself is only walked
-and sifted.  For m != 2 it uses the defining sum, which lists H as bytes
-image strings and composes the (g x)^m in C, by translate
-(PermGroup._coset_powers); H's tuples are not listed.  Only one
-coset per orbit under the letters H fixes is computed (see cosets); the
-others move its rows along conjugation, and a check of two global
-identities at the end sees every row.
+the scan uses the stabilizer sum at the w in gH with w^2 in H that
+double_cosets kept (DoubleCoset.square_root), on the trivial double coset
+too: there w lies in H, wS(g) = S(g), and the sum is the classical
+indicator.  It reads the class census of the squares of wS(g) from the
+class object (chartab's square_census): from cycle types when S(g) is a
+Young or signed-Young group, by listing S(g) otherwise; H is only sifted.
+For m != 2 it uses the defining sum, which lists H as bytes image strings
+and composes the (g x)^m in C, by translate (PermGroup._coset_powers); H's
+tuples are not listed.  Only one coset per orbit under the letters H fixes
+is computed (see cosets); the others move its rows along conjugation, and
+a check of two global identities at the end sees every row.
 """
 from __future__ import annotations
 
@@ -588,20 +588,20 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
     m = 2 gives all-zero rows on a double coset that double_cosets found not
     self-inverse.  Otherwise the first coset the scan reaches of each orbit
     under the free letters (DoubleCoset.root) computes its rows: m = 2 takes
-    the stabilizer-only sum at an adjusted representative, every other m the
-    defining H-sum.  At m = 2 no element of H is listed: two_power_rep walks
-    H lazily until a square sifts into it.  On the trivial double coset the
-    adjusted representative w lies in H, so wS(g) = S(g) and the same sum
-    gives the classical indicator.  The stabilizer sum's square census
-    comes from cycle types when the stabilizer is a Young or signed-Young
-    group, which is then never enumerated, and from a list of its elements
-    otherwise (such as C(S8, C8)'s).  The defining sum lists H as bytes
-    image strings, composed in C by translate, and keeps the (g x)^m that
-    land in H; up to degree 256 no tuple of H is built.  The other
-    cosets of that orbit move those rows along conjugation
-    (DoubleCoset.conj), and the moved data are dropped once the orbit's last
-    coset is done.  Rows are emitted in double-coset order, each in its own
-    table's order.
+    the stabilizer-only sum at the w = DoubleCoset.square_root that
+    double_cosets kept, every other m the defining H-sum.  At m = 2 no
+    element of H is listed or searched: two sifts check that w lies in gH
+    and w^2 in H.  On the trivial double coset w lies in H, so wS(g) = S(g)
+    and the same sum gives the classical indicator.  The stabilizer sum's
+    square census comes from cycle types when the stabilizer is a Young or
+    signed-Young group, which is then never enumerated, and from a list of
+    its elements otherwise (such as C(S8, C8)'s).  The defining sum lists H
+    as bytes image strings, composed in C by translate, and keeps the
+    (g x)^m that land in H; up to degree 256 no tuple of H is built.  The
+    other cosets of that orbit move those rows along conjugation
+    (DoubleCoset.conj), and the moved data are dropped once the orbit's
+    last coset is done.  Rows are emitted in double-coset order, each in its
+    own table's order.
 
     At the end the global identities are checked: the squared dimensions
     [H:S(g)] * chi(1) sum to |G|, and sum dim * nu_m equals
@@ -633,14 +633,15 @@ def category_scan(group: PermGroup, sub: PermGroup, m: int = 2,
                 nus = _transported(source, dc.conj, cd, table.characters,
                                    _Label(f"nu_{m} at", g))
             elif m == 2:
-                w = two_power_rep(g, sub)
-                if w is None:
+                w = dc.square_root
+                if not all(sub.member(Permutation._from_raw(x))
+                           for x in (_mul(_inv(g._img), w), _mul(w, w))):
                     raise ArithmeticError(
                         f"self-inverse double coset of {g.to_text()} has no "
                         "element squaring into the subgroup")
-                counts = cd.square_census(w._img)
+                counts = cd.square_census(w)
                 nus = _census_indicators(counts, table.characters,
-                                         stab.order(), _Label("nu_2 at", w))
+                                         stab.order(), _Label("nu_2 at", g))
                 for value in nus:
                     if value not in (-1, 0, 1):
                         raise ArithmeticError(

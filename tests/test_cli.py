@@ -1,5 +1,6 @@
 """Driver-level checks: spec parsing, exit codes, output formats, bounds."""
 
+import ast
 import json
 import os
 import shlex
@@ -331,16 +332,58 @@ def test_extended_profile_adds_the_degree_eleven_tilde_scans(monkeypatch,
                                ("thm-tilde-plus1", {"n": 9})] + [
         ("thm-An", {"n": n}) for n in range(10, 15)] + [
         ("thm-tilde", {"n": n}) for n in range(12, 19)] + [
-        ("lemma-twisted-An", {"n": n}) for n in range(9, 13)]
+        ("lemma-twisted-An", {"n": n}) for n in range(9, 13)] + [
+        ("thm-tilde-plus1", {"n": n}) for n in range(12, 15)] + [
+        ("thm-tilde-plusk", {"n": n, "k": 2}) for n in range(8, 14)]
     assert main(["verify-all", "--profile", "extended", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == len(extended)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _stated_value(comment: str):
+    """The Python literal a comment opens with, whole or up to one of its
+    colons, or None when it opens with none."""
+    cuts = [i for i, c in enumerate(comment) if c == ":"]
+    for text in [comment, *(comment[:i] for i in cuts)]:
+        try:
+            return (ast.literal_eval(text.strip()),)
+        except (ValueError, SyntaxError):
+            pass
+    return None
+
+
+def test_readme_python_block_states_its_values():
+    # run the fenced python block of the library tour in a fresh namespace;
+    # every expression line whose comment opens with a literal must
+    # evaluate to it
+    block = README.read_text(encoding="utf-8").split("```python\n")[1]
+    block = block.split("```\n")[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        stated = _stated_value(comment)
+        if not code.strip() or stated is None:
+            continue
+        try:
+            expr = compile(code.strip(), "README.md", "eval")
+        except SyntaxError:
+            continue
+        value = eval(expr, namespace)
+        assert (value, type(value)) == (stated[0], type(stated[0])), line
+        checked.append(code.strip())
+    assert {"report.summary", "dcs[3].self_inverse", "dc.square_root",
+            "dcs[2].root, dcs[2].conj"} <= set(checked)
+    assert len(checked) >= 7
 
 
 def _readme_commands() -> list[list[str]]:
     """The argv of each line of the first fenced block under the README's
     "## Command line" heading, with shell comments stripped."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Command line\n")[1]
+    section = README.read_text(encoding="utf-8").split("## Command line\n")[1]
     block = section.split("```\n")[1]
     return [shlex.split(line, comments=True)
             for line in block.splitlines() if line.strip()]

@@ -161,18 +161,77 @@ PAIR_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", ["S8-C8", "S8-Sym4", "S7-tildeS5", "S6-A6",
-                                  "A7-Alt4"])
+@pytest.mark.parametrize("case", list(PAIR_CASES))
 def test_self_inverse_cosets_have_a_two_power_rep(case):
+    # the square root the decomposition keeps exists exactly where the
+    # search over H finds one, and it lies in rep*H and squares into H
     group, sub = PAIR_CASES[case]()
     for dc in double_cosets(group, sub):
-        assert dc.self_inverse == (two_power_rep(dc.rep, sub) is not None)
+        assert (dc.square_root is None) == (two_power_rep(dc.rep, sub) is None)
+        assert dc.self_inverse == (dc.square_root is not None)
+        if dc.square_root is not None:
+            w = Permutation._from_raw(dc.square_root)
+            assert sub.member(dc.rep.inverse() * w)
+            assert sub.member(w * w)
+
+
+def _nu2_stab_rows(group, sub):
+    """The degree-2 rows of every double coset by nu2_stab at
+    two_power_rep's w (the classical indicator where w lies in H), each as
+    a sorted list of (chi(1), nu_2)."""
+    rows = []
+    for dc in double_cosets(group, sub):
+        stab = PermGroup(sub.degree, [Permutation._from_raw(x)
+                                      for x in dc.stab_gens])
+        characters = character_table(stab).characters
+        w = two_power_rep(dc.rep, sub)
+        if w is None:
+            row = [(chi.degree, 0) for chi in characters]
+        elif sub.member(w):
+            row = [(chi.degree, nu_classical(chi).as_rational_integer())
+                   for chi in characters]
+        else:
+            row = [(chi.degree, nu2_stab(w, chi, sub)) for chi in characters]
+        rows.append(sorted(row))
+    return rows
+
+
+def _scan_rows(report):
+    rows: dict = {}
+    for e in report.entries:
+        rows.setdefault(e.rep, []).append((e.chi_degree, e.nu))
+    return [sorted(row) for row in rows.values()]
+
+
+def test_scan_searches_no_square_root_and_both_routes_agree(monkeypatch):
+    # the scan reads each w off the decomposition: with two_power_rep made
+    # to raise it still runs, and its rows are those of the search route
+    expected = {case: _nu2_stab_rows(*make()) for case, make
+                in PAIR_CASES.items()}
+
+    def no_search(g, sub):
+        raise AssertionError("the scan searched H for a square root")
+
+    monkeypatch.setattr(indicators, "two_power_rep", no_search)
+    for case, make in PAIR_CASES.items():
+        assert _scan_rows(category_scan(*make(), 2)) == expected[case], case
+    report = category_scan(sym(12), tilde_sym(10, degree=12), 2)
+    assert sum(report.summary.values()) == len(report.entries)
 
 
 def test_scan_rejects_a_self_inverse_coset_without_a_square_root(monkeypatch):
-    monkeypatch.setattr(indicators, "two_power_rep", lambda g, sub: None)
-    with pytest.raises(ArithmeticError):
-        category_scan(sym(6), sym_embed(3, 6))
+    # a square root replaced by the rep itself, which is in rep*H but, for
+    # (4,5,6) among others, does not square into H
+    group, sub = PAIR_CASES["S7-tildeS5"]()
+    real = double_cosets(group, sub)
+    assert any(dc.self_inverse and not sub.member(dc.rep * dc.rep)
+               for dc in real)
+    broken = replace(real, cosets=tuple(
+        replace(dc, square_root=dc.rep._img) if dc.self_inverse else dc
+        for dc in real))
+    monkeypatch.setattr(indicators, "double_cosets", lambda g, h: broken)
+    with pytest.raises(ArithmeticError, match="no element squaring into"):
+        category_scan(group, sub)
 
 
 @pytest.mark.parametrize("case", ["S6-Sym3", "S8-C8", "S7-tildeS5", "S6-A6",
